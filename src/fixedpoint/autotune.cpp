@@ -132,20 +132,13 @@ void standard_candidates(const FpInstr& in, const ExecPlan::Const& c, IntWidth x
                          std::vector<fpk::Algo>& out) {
   out.clear();
   if (!c.acc_ok32 || c.width != IntWidth::kI8) return;
-  const fpk::KernelSet& ks = fpk::active_kernels();
+  if (xw != IntWidth::kI8 && xw != IntWidth::kI16) return;
   if (in.kind == FpInstr::Kind::kDepthwiseFused) {
-    if (xw == IntWidth::kI8 && ks.depthwise_s8_epi) out.push_back(fpk::Algo::kDwDirect);
-    if (xw == IntWidth::kI16 && ks.depthwise_s16_epi) out.push_back(fpk::Algo::kDwDirect);
+    out.push_back(fpk::Algo::kDwDirect);
     return;
   }
-  if (xw == IntWidth::kI8) {
-    if (ks.gemm_s8p16_epi && !c.b_pair16.empty()) out.push_back(fpk::Algo::kGemmPacked);
-    if (ks.gemm_s8_epi) out.push_back(fpk::Algo::kGemmRaw);
-    if (ks.gemm_s8n4_epi && !c.b_nib4.empty()) out.push_back(fpk::Algo::kGemmS4);
-  } else if (xw == IntWidth::kI16) {
-    if (ks.gemm_s16p16_epi && !c.b_pair16.empty()) out.push_back(fpk::Algo::kGemmPacked);
-    if (ks.gemm_s16n4_epi && !c.b_nib4.empty()) out.push_back(fpk::Algo::kGemmS4);
-  }
+  if (!c.b_pair16.empty()) out.push_back(fpk::Algo::kGemmPacked);
+  if (!c.b_nib4.empty()) out.push_back(fpk::Algo::kGemmS4);
 }
 
 /// Whether the NC8HW8 blocked kernels can run this instruction at all.
@@ -155,10 +148,7 @@ bool blocked_capable(const FpInstr& in, const ExecPlan::Const& c, IntWidth xw) {
   // Per-channel epilogues index chan_shift by the logical channel; the
   // blocked kernels retire padded NC8HW8 lanes, so keep them off the table.
   if (!c.chan_shifts.empty()) return false;
-  const fpk::KernelSet& ks = fpk::active_kernels();
-  if (in.kind == FpInstr::Kind::kConv2dFused) return ks.conv_s8blk_epi != nullptr;
-  if (in.kind == FpInstr::Kind::kDepthwiseFused) return ks.depthwise_s8blk_epi != nullptr;
-  return false;
+  return in.kind == FpInstr::Kind::kConv2dFused || in.kind == FpInstr::Kind::kDepthwiseFused;
 }
 
 /// Multiply-accumulate count of one run (drives the rep count).
@@ -180,9 +170,10 @@ int64_t probe_ops(const FpInstr& in, int64_t yn) {
 /// sets or retire paths from sharing an entry.
 std::string shape_key(const FpInstr& in, const ExecPlan::Const& c, const FpRegShape& xs,
                       IntWidth xw, IntWidth wy) {
-  const char* op = in.kind == FpInstr::Kind::kDepthwiseFused ? "dw"
-                   : in.kind == FpInstr::Kind::kDenseFused   ? "dense"
-                                                             : "conv";
+  const FpInstr::Kind base = base_kind_of(in.kind);
+  const char* op = base == FpInstr::Kind::kDepthwise ? "dw"
+                   : base == FpInstr::Kind::kDense   ? "dense"
+                                                     : "conv";
   char buf[256];
   char xdims[64];
   int off = 0;
@@ -634,7 +625,7 @@ std::vector<ExplainRow> explain_kernels(const FixedPointProgram& prog) {
     ExplainRow row;
     row.name = in.debug_name;
     row.kind = to_string(in.kind);
-    if (is_fused_kind(in.kind)) {
+    if (is_matmul_kind(in.kind)) {
       const IntWidth xw = plan.regs[static_cast<size_t>(in.inputs[0])].width;
       const IntWidth wy = plan.regs[static_cast<size_t>(in.output)].width;
       const fpk::Algo planned = i < plan.algos.size() ? plan.algos[i] : fpk::Algo::kAuto;

@@ -127,16 +127,17 @@ void reset_for_test();
 
 namespace tqt::detail {
 
-/// Resolve the implementation a fused matmul instruction retires through,
-/// given the planned preference (kAuto when untuned). Degrades gracefully
-/// when the active kernel set lacks the preferred entry — except kBlocked,
-/// which is honored unconditionally (both kernel sets register the blocked
-/// kernels, and a blocked instruction's input register really is in NC8HW8
-/// layout, so no other algo could read it).
+/// Resolve the implementation a matmul instruction (fused or not) retires
+/// through, given the planned preference (kAuto when untuned). Both kernel
+/// sets fill every entry, so the answer depends only on the plan: a
+/// preference the plan cannot honor (kGemmS4 without nibble-packed weights,
+/// the retired kGemmRaw) falls back to the static pick, while kBlocked is
+/// honored unconditionally (a blocked instruction's input register really is
+/// in NC8HW8 layout, so no other algo could read it).
 fpk::Algo resolve_fused_algo(const FpInstr& in, const ExecPlan::Const& c,
                              IntWidth xw, fpk::Algo pref);
 
-/// Execute one fused matmul instruction under `algo`. Shared by the executor
+/// Execute one matmul instruction under `algo`. Shared by the executor
 /// and the tuner's timing probes, so a probe measures exactly the code the
 /// executor will run. `scratch` (im2col) and `acc` (generic int64 fallback)
 /// are grown as needed (no-ops at steady state).

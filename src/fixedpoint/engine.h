@@ -251,7 +251,7 @@ class ExecContext {
 struct FuseStats {
   int instrs_before = 0;
   int instrs_after = 0;
-  int fused_matmuls = 0;       ///< matmul chains rewritten into fused kinds
+  int fused_matmuls = 0;       ///< fused-kind matmuls in the finalized stream
   int absorbed_instrs = 0;     ///< instructions folded into epilogues
   int collapsed_requants = 0;  ///< standalone requant pairs merged exactly
   int64_t arena_bytes_before = 0;

@@ -1,13 +1,14 @@
 // Typed execution of a compiled fixed-point program.
 //
 // Registers live in int8_t/int16_t/int32_t/int64_t arena slots chosen by the
-// memory plan (plan.cpp); the hot matmul instructions dispatch to the
-// narrow-width kernel registry (kernels/) when the plan proves the
-// int8 x int8 -> int32 contract holds, and fall back to generic width-typed
-// loops otherwise. Every elementwise op computes internally in int64 — the
-// plan's value bounds make the narrowing store lossless — and shares
-// fp::saturate / fp::rescale with the reference interpreter, so the typed
-// result is bit-identical to run_reference() by construction (and by test).
+// memory plan (plan.cpp); every matmul instruction, fused or not, dispatches
+// through detail::run_fused to the narrow-width kernel registry (kernels/)
+// when the plan proves the int32 accumulator contract holds, and falls back
+// to an int64-accumulator walk otherwise. Every elementwise op computes
+// internally in int64 — the plan's value bounds make the narrowing store
+// lossless — and shares fp::saturate / fp::rescale with the reference
+// interpreter, so the typed result is bit-identical to run_reference() by
+// construction (and by test).
 //
 // Allocation discipline: all run-time state lives in the caller's
 // ExecContext, whose buffers are grow-only. After one warm-up run at a given
@@ -18,10 +19,6 @@
 #endif
 
 #include <algorithm>
-#ifdef TQT_EXEC_PROFILE
-#include <chrono>
-#include <cstdio>
-#endif
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -118,14 +115,13 @@ void map2_lanes(const void* av, IntWidth wa, const void* bv, IntWidth wb, void* 
   });
 }
 
-// ---- Generic (any-width) matmul-family fallbacks --------------------------
-// Weights are read from FpInstr::const_data (always retained at int64).
-// Accumulating directly in YT is safe: every partial sum of sum_k x_k*w_k is
-// bounded by sum_k |x_k||w_k| <= max|x| * max_o(sum_k |w[k][o]|), exactly the
-// bound the plan sized YT for.
+// ---- Generic matmul-family fallbacks -----------------------------------------
+// Weights are read from FpInstr::const_data (always retained at int64) and
+// accumulated in int64 — the reference semantics exactly; run_fused retires
+// the accumulators through the epilogue.
 
-template <typename XT, typename YT>
-void conv_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT* y) {
+template <typename XT>
+void conv_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, int64_t* y) {
   const Conv2dGeom& g = in.geom;
   const int64_t n = xs.dims[0], h = xs.dims[1], w = xs.dims[2], cin = xs.dims[3];
   const int64_t kh = in.const_shape[0], kw = in.const_shape[1], cout = in.const_shape[3];
@@ -137,8 +133,8 @@ void conv_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT* y) {
       const int64_t b = r / oh;
       const int64_t oy = r % oh;
       for (int64_t ox = 0; ox < ow; ++ox) {
-        YT* out = y + (r * ow + ox) * cout;
-        std::memset(out, 0, static_cast<size_t>(cout) * sizeof(YT));
+        int64_t* out = y + (r * ow + ox) * cout;
+        std::memset(out, 0, static_cast<size_t>(cout) * sizeof(int64_t));
         const int64_t iy0 = oy * g.stride_h - g.pad_top;
         const int64_t ix0 = ox * g.stride_w - g.pad_left;
         for (int64_t ky = 0; ky < kh; ++ky) {
@@ -153,9 +149,7 @@ void conv_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT* y) {
               const int64_t xv = xi[c];
               if (xv == 0) continue;
               const int64_t* wc = wk + c * cout;
-              for (int64_t o = 0; o < cout; ++o) {
-                out[o] = static_cast<YT>(out[o] + xv * wc[o]);
-              }
+              for (int64_t o = 0; o < cout; ++o) out[o] += xv * wc[o];
             }
           }
         }
@@ -164,8 +158,8 @@ void conv_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT* y) {
   });
 }
 
-template <typename XT, typename YT>
-void depthwise_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT* y) {
+template <typename XT>
+void depthwise_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, int64_t* y) {
   const Conv2dGeom& g = in.geom;
   const int64_t n = xs.dims[0], h = xs.dims[1], w = xs.dims[2], c = xs.dims[3];
   const int64_t oh = g.out_h(h), ow = g.out_w(w);
@@ -176,8 +170,8 @@ void depthwise_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT*
       const int64_t b = r / oh;
       const int64_t oy = r % oh;
       for (int64_t ox = 0; ox < ow; ++ox) {
-        YT* out = y + (r * ow + ox) * c;
-        std::memset(out, 0, static_cast<size_t>(c) * sizeof(YT));
+        int64_t* out = y + (r * ow + ox) * c;
+        std::memset(out, 0, static_cast<size_t>(c) * sizeof(int64_t));
         const int64_t iy0 = oy * g.stride_h - g.pad_top;
         const int64_t ix0 = ox * g.stride_w - g.pad_left;
         for (int64_t ky = 0; ky < g.kh; ++ky) {
@@ -189,7 +183,7 @@ void depthwise_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT*
             const XT* xi = x + ((b * h + iy) * w + ix) * c;
             const int64_t* wk = in.const_data.data() + (ky * g.kw + kx) * c;
             for (int64_t ch = 0; ch < c; ++ch) {
-              out[ch] = static_cast<YT>(out[ch] + static_cast<int64_t>(xi[ch]) * wk[ch]);
+              out[ch] += static_cast<int64_t>(xi[ch]) * wk[ch];
             }
           }
         }
@@ -198,19 +192,19 @@ void depthwise_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT*
   });
 }
 
-template <typename XT, typename YT>
-void dense_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, YT* y) {
+template <typename XT>
+void dense_generic(const FpInstr& in, const XT* x, const FpRegShape& xs, int64_t* y) {
   const int64_t n = xs.dims[0], k = xs.dims[1], m = in.const_shape[1];
   parallel_for(0, n, grain_for(n, 2 * k * m, kGemmTargetOps), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
-      YT* out = y + i * m;
-      std::memset(out, 0, static_cast<size_t>(m) * sizeof(YT));
+      int64_t* out = y + i * m;
+      std::memset(out, 0, static_cast<size_t>(m) * sizeof(int64_t));
       const XT* xi = x + i * k;
       for (int64_t kk = 0; kk < k; ++kk) {
         const int64_t xv = xi[kk];
         if (xv == 0) continue;
         const int64_t* wr = in.const_data.data() + kk * m;
-        for (int64_t j = 0; j < m; ++j) out[j] = static_cast<YT>(out[j] + xv * wr[j]);
+        for (int64_t j = 0; j < m; ++j) out[j] += xv * wr[j];
       }
     }
   });
@@ -334,7 +328,8 @@ bool is_pointwise(const FpInstr& in) {
          g.pad_right == 0;
 }
 
-/// The epilogue bundle a fused instruction hands its kernel.
+/// The epilogue bundle a matmul instruction hands its kernel (no steps for an
+/// unfused one).
 fpk::Epilogue make_epi(const FpInstr& in, const ExecPlan::Const& pc, void* y, IntWidth wy) {
   fpk::Epilogue e;
   e.steps = pc.epi.data();
@@ -350,7 +345,7 @@ fpk::Epilogue make_epi(const FpInstr& in, const ExecPlan::Const& pc, void* y, In
 
 }  // namespace
 
-// ---- Fused instruction dispatch (shared with the autotuner) ----------------
+// ---- Matmul instruction dispatch (shared with the autotuner) ----------------
 // The tuner's timing probes call the very same run_fused the executor does,
 // so a measured candidate is exactly the code that will run in production.
 
@@ -358,36 +353,20 @@ namespace detail {
 
 fpk::Algo resolve_fused_algo(const FpInstr& in, const ExecPlan::Const& c,
                              IntWidth xw, fpk::Algo pref) {
-  const fpk::KernelSet& ks = fpk::active_kernels();
-  // The narrow kernels accumulate in int32; without the plan's proof that
-  // the accumulator bound fits, the generic int64 path is the only safe one.
-  if (!c.acc_ok32 || c.width != IntWidth::kI8) return fpk::Algo::kGeneric;
+  // The narrow kernels accumulate in int32 over int8 weights and int8/int16
+  // activations; without the plan's proof that the accumulator bound fits,
+  // the generic int64 path is the only safe one.
+  const bool narrow_x = xw == IntWidth::kI8 || xw == IntWidth::kI16;
+  if (!c.acc_ok32 || c.width != IntWidth::kI8 || !narrow_x) return fpk::Algo::kGeneric;
   // A blocked selection is a layout commitment, not a preference: the input
-  // register holds NC8HW8 lanes that no other algo can read. Every kernel
-  // set registers the blocked entries, so this never dangles.
+  // register holds NC8HW8 lanes that no other algo can read.
   if (pref == fpk::Algo::kBlocked && xw == IntWidth::kI8) return fpk::Algo::kBlocked;
+  if (base_kind_of(in.kind) == FpInstr::Kind::kDepthwise) return fpk::Algo::kDwDirect;
   // Tuner-selected sub-byte GEMM: honored only while the plan carries the
-  // nibble-packed weights and the active set ships the s4 kernels; otherwise
-  // fall through to the normal int8 resolution.
-  if (pref == fpk::Algo::kGemmS4 && !c.b_nib4.empty() &&
-      base_kind_of(in.kind) != FpInstr::Kind::kDepthwise) {
-    if (xw == IntWidth::kI8 && ks.gemm_s8n4_epi) return fpk::Algo::kGemmS4;
-    if (xw == IntWidth::kI16 && ks.gemm_s16n4_epi) return fpk::Algo::kGemmS4;
-  }
-  if (base_kind_of(in.kind) == FpInstr::Kind::kDepthwise) {
-    if (xw == IntWidth::kI8 && ks.depthwise_s8_epi) return fpk::Algo::kDwDirect;
-    if (xw == IntWidth::kI16 && ks.depthwise_s16_epi) return fpk::Algo::kDwDirect;
-    return fpk::Algo::kGeneric;
-  }
-  if (xw == IntWidth::kI8) {
-    if (pref == fpk::Algo::kGemmRaw && ks.gemm_s8_epi) return fpk::Algo::kGemmRaw;
-    if (ks.gemm_s8p16_epi && !c.b_pair16.empty()) return fpk::Algo::kGemmPacked;
-    if (ks.gemm_s8_epi) return fpk::Algo::kGemmRaw;
-    return fpk::Algo::kGeneric;
-  }
-  if (xw == IntWidth::kI16 && ks.gemm_s16p16_epi && !c.b_pair16.empty()) {
-    return fpk::Algo::kGemmPacked;
-  }
+  // nibble-packed weights. Any other preference (including the retired
+  // kGemmRaw of an old sidecar) resolves to the static pick.
+  if (pref == fpk::Algo::kGemmS4 && !c.b_nib4.empty()) return fpk::Algo::kGemmS4;
+  if (!c.b_pair16.empty()) return fpk::Algo::kGemmPacked;
   return fpk::Algo::kGeneric;
 }
 
@@ -442,8 +421,7 @@ void run_fused(const FpInstr& in, const ExecPlan::Const& pc, fpk::Algo algo,
     return;
   }
 
-  if (algo == fpk::Algo::kGemmPacked || algo == fpk::Algo::kGemmRaw ||
-      algo == fpk::Algo::kGemmS4) {
+  if (algo == fpk::Algo::kGemmPacked || algo == fpk::Algo::kGemmS4) {
     GemmShape gs;
     const void* a = x;
     if (base == FpInstr::Kind::kDense) {
@@ -471,11 +449,9 @@ void run_fused(const FpInstr& in, const ExecPlan::Const& pc, fpk::Algo algo,
       if (algo == fpk::Algo::kGemmS4) {
         ks.gemm_s8n4_epi(static_cast<const int8_t*>(a), pc.b_nib4.data(), gs.m, gs.n,
                          gs.k, e);
-      } else if (algo == fpk::Algo::kGemmPacked) {
+      } else {
         ks.gemm_s8p16_epi(static_cast<const int8_t*>(a), pc.b_pair16.data(), gs.m, gs.n,
                           gs.k, e);
-      } else {
-        ks.gemm_s8_epi(static_cast<const int8_t*>(a), pc.i8.data(), gs.m, gs.n, gs.k, e);
       }
     } else if (algo == fpk::Algo::kGemmS4) {
       ks.gemm_s16n4_epi(static_cast<const int16_t*>(a), pc.b_nib4.data(), gs.m, gs.n,
@@ -620,24 +596,7 @@ class Executor {
       run_traced();
       return;
     }
-#ifdef TQT_EXEC_PROFILE
-    static double kind_s[18] = {};
-    static long long runs = 0;
-    for (size_t idx = 0; idx < instrs_.size(); ++idx) {
-      const auto t0 = std::chrono::steady_clock::now();
-      exec_one(idx);
-      kind_s[static_cast<int>(instrs_[idx].kind)] +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    }
-    if (++runs % 64 == 0) {
-      std::fprintf(stderr, "exec profile after %lld runs:\n", runs);
-      for (int k = 0; k < 18; ++k)
-        if (kind_s[k] > 0) std::fprintf(stderr, "  kind %2d: %8.3f ms\n", k, kind_s[k] * 1e3);
-      for (int k = 0; k < 18; ++k) kind_s[k] = 0;
-    }
-#else
     for (size_t idx = 0; idx < instrs_.size(); ++idx) exec_one(idx);
-#endif
   }
 
  private:
@@ -651,7 +610,7 @@ class Executor {
       observe::TraceSpan span(to_string(in.kind), "engine");
       const char* xw = in.inputs.empty() ? "-" : to_string(reg_w(in.inputs[0]));
       const char* yw = to_string(reg_w(in.output));
-      if (is_fused_kind(in.kind)) {
+      if (is_matmul_kind(in.kind)) {
         // Same table --explain-kernels prints: the resolved algo plus
         // whether it came from a tuned selection or the static default.
         const fpk::Algo a = detail::resolve_fused_algo(in, plan_.consts[idx],
@@ -660,10 +619,6 @@ class Executor {
         span.argf("%s %s->%s kernels=%s algo=%s%s", in.debug_name.c_str(), xw, yw,
                   fpk::active_kernels().name, fpk::algo_name(a),
                   planned_algo(idx) == fpk::Algo::kAuto ? "" : " tuned");
-      } else if (is_matmul_kind(in.kind)) {
-        const bool fast = fast_matmul(in, idx) || fast_matmul16(in, idx);
-        span.argf("%s %s->%s kernels=%s", in.debug_name.c_str(), xw, yw,
-                  fast ? fpk::active_kernels().name : "generic");
       } else {
         span.argf("%s %s->%s", in.debug_name.c_str(), xw, yw);
       }
@@ -681,43 +636,6 @@ class Executor {
   IntWidth reg_w(int r) const { return plan_.regs[static_cast<size_t>(r)].width; }
   int reg_exp(int r) const { return plan_.regs[static_cast<size_t>(r)].exponent; }
   const FpRegShape& reg_shape(int r) const { return shapes_[static_cast<size_t>(r)]; }
-
-  /// True when (x, weights, out) match the registry kernels' native
-  /// int8 x int8 -> int32 contract.
-  bool fast_matmul(const FpInstr& in, size_t idx) const {
-    return reg_w(in.inputs[0]) == IntWidth::kI8 &&
-           plan_.consts[idx].width == IntWidth::kI8 && reg_w(in.output) == IntWidth::kI32;
-  }
-
-  /// True for the int16-activation variant (int16 x int8 -> int32): taken
-  /// only when the active set ships the s16 packed kernel, otherwise the
-  /// generic loops handle it.
-  bool fast_matmul16(const FpInstr& in, size_t idx) const {
-    return reg_w(in.inputs[0]) == IntWidth::kI16 &&
-           plan_.consts[idx].width == IntWidth::kI8 &&
-           reg_w(in.output) == IntWidth::kI32 &&
-           fpk::active_kernels().gemm_s16p16s32 != nullptr &&
-           !plan_.consts[idx].b_pair16.empty();
-  }
-
-  /// GEMM through the active kernel set, preferring its packed-B entry point
-  /// when the plan carries the pair-interleaved weight copy. The packed
-  /// kernel overwrites C; the raw += kernel needs the zeroing pass first.
-  void run_gemm(size_t idx, const int8_t* a, int32_t* c, const GemmShape& gs) const {
-    const fpk::KernelSet& ks = fpk::active_kernels();
-    const ExecPlan::Const& w = plan_.consts[idx];
-    if (ks.gemm_s8p16s32 && !w.b_pair16.empty()) {
-      ks.gemm_s8p16s32(a, w.b_pair16.data(), c, gs.m, gs.n, gs.k);
-    } else {
-      std::memset(c, 0, static_cast<size_t>(gs.m * gs.n) * sizeof(int32_t));
-      ks.gemm_s8s8s32(a, w.i8.data(), c, gs.m, gs.n, gs.k);
-    }
-  }
-
-  void run_gemm16(size_t idx, const int16_t* a, int32_t* c, const GemmShape& gs) const {
-    fpk::active_kernels().gemm_s16p16s32(a, plan_.consts[idx].b_pair16.data(), c, gs.m,
-                                         gs.n, gs.k);
-  }
 
   void exec_one(size_t idx) {
     const FpInstr& in = instrs_[idx];
@@ -782,91 +700,6 @@ class Executor {
         } else {
           map_lanes(xv, wx, y, wy, yn,
                     [=](int64_t v) { return saturate(v << -shift, lo, hi); });
-        }
-        break;
-      }
-      case FpInstr::Kind::kConv2d: {
-        const int x = in.inputs[0];
-        if (fast_matmul(in, idx)) {
-          const GemmShape gs = conv_gemm_shape(in, reg_shape(x));
-          const int8_t* a;
-          if (is_pointwise(in)) {
-            a = static_cast<const int8_t*>(reg_ptr(x));
-          } else {
-            int8_t* packed = reinterpret_cast<int8_t*>(scratch_.data());
-            im2col_pack(in, static_cast<const int8_t*>(reg_ptr(x)), reg_shape(x), packed);
-            a = packed;
-          }
-          run_gemm(idx, a, static_cast<int32_t*>(y), gs);
-        } else if (fast_matmul16(in, idx)) {
-          const GemmShape gs = conv_gemm_shape(in, reg_shape(x));
-          const int16_t* a;
-          if (is_pointwise(in)) {
-            a = static_cast<const int16_t*>(reg_ptr(x));
-          } else {
-            int16_t* packed = reinterpret_cast<int16_t*>(scratch_.data());
-            im2col_pack(in, static_cast<const int16_t*>(reg_ptr(x)), reg_shape(x), packed);
-            a = packed;
-          }
-          run_gemm16(idx, a, static_cast<int32_t*>(y), gs);
-        } else {
-          with_width(reg_w(x), [&](auto xt) {
-            with_width(wy, [&](auto yt) {
-              conv_generic(in, static_cast<const decltype(xt)*>(reg_ptr(x)), reg_shape(x),
-                           static_cast<decltype(yt)*>(y));
-            });
-          });
-        }
-        break;
-      }
-      case FpInstr::Kind::kDepthwise: {
-        const int x = in.inputs[0];
-        const FpRegShape& xs = reg_shape(x);
-        if (fast_matmul(in, idx)) {
-          fpk::DepthwiseArgs a;
-          a.batch = xs.dims[0];
-          a.h = xs.dims[1];
-          a.w = xs.dims[2];
-          a.c = xs.dims[3];
-          a.oh = in.geom.out_h(a.h);
-          a.ow = in.geom.out_w(a.w);
-          a.geom = in.geom;
-          fpk::active_kernels().depthwise_s8s8s32(static_cast<const int8_t*>(reg_ptr(x)),
-                                                  plan_.consts[idx].i8.data(),
-                                                  static_cast<int32_t*>(y), a);
-        } else {
-          with_width(reg_w(x), [&](auto xt) {
-            with_width(wy, [&](auto yt) {
-              depthwise_generic(in, static_cast<const decltype(xt)*>(reg_ptr(x)), xs,
-                                static_cast<decltype(yt)*>(y));
-            });
-          });
-        }
-        break;
-      }
-      case FpInstr::Kind::kDense: {
-        const int x = in.inputs[0];
-        const FpRegShape& xs = reg_shape(x);
-        if (fast_matmul(in, idx) || fast_matmul16(in, idx)) {
-          // Activations are already the [M, K] A operand — no packing.
-          GemmShape gs;
-          gs.m = xs.dims[0];
-          gs.n = in.const_shape[1];
-          gs.k = xs.dims[1];
-          if (reg_w(x) == IntWidth::kI8) {
-            run_gemm(idx, static_cast<const int8_t*>(reg_ptr(x)), static_cast<int32_t*>(y),
-                     gs);
-          } else {
-            run_gemm16(idx, static_cast<const int16_t*>(reg_ptr(x)),
-                       static_cast<int32_t*>(y), gs);
-          }
-        } else {
-          with_width(reg_w(x), [&](auto xt) {
-            with_width(wy, [&](auto yt) {
-              dense_generic(in, static_cast<const decltype(xt)*>(reg_ptr(x)), xs,
-                            static_cast<decltype(yt)*>(y));
-            });
-          });
         }
         break;
       }
@@ -967,6 +800,9 @@ class Executor {
         }
         break;
       }
+      case FpInstr::Kind::kConv2d:
+      case FpInstr::Kind::kDepthwise:
+      case FpInstr::Kind::kDense:
       case FpInstr::Kind::kConv2dFused:
       case FpInstr::Kind::kDepthwiseFused:
       case FpInstr::Kind::kDenseFused: {
@@ -1060,15 +896,13 @@ void FixedPointProgram::run_into(const Tensor& input, ExecContext& ctx, Tensor& 
     }
     if (ctx.scratch_.size() < need) ctx.scratch_.resize(need);
   }
-  // int64 accumulator buffer, sized only for fused instructions that will
-  // take the generic fallback this run (re-checked per run because the
-  // active kernel set can change between runs; grow-only like everything
-  // else).
+  // int64 accumulator buffer, sized only for matmul instructions that take
+  // the generic fallback (grow-only like everything else).
   {
     size_t need = 0;
     for (size_t idx = 0; idx < xinstrs.size(); ++idx) {
       const FpInstr& in = xinstrs[idx];
-      if (!is_fused_kind(in.kind)) continue;
+      if (!is_matmul_kind(in.kind)) continue;
       if (detail::resolve_fused_algo(
               in, plan.consts[idx], plan.regs[static_cast<size_t>(in.inputs[0])].width,
               idx < plan.algos.size() ? plan.algos[idx] : fpk::Algo::kAuto) !=

@@ -22,116 +22,6 @@ namespace tqt::fpk {
 
 namespace {
 
-constexpr int64_t kKBlock = 256;
-
-// C row tile: 16 int32 lanes (two 256-bit accumulators) per (i, j0) panel.
-void gemm_s8_avx2(const int8_t* A, const int8_t* B, int32_t* C, int64_t M, int64_t N,
-                  int64_t K) {
-  parallel_for(0, M, grain_for(M, 2 * K * N, kGemmTargetOps), [&](int64_t m0, int64_t m1) {
-    const int64_t n16 = N - (N % 16);
-    for (int64_t i = m0; i < m1; ++i) {
-      const int8_t* a = A + i * K;
-      int32_t* c = C + i * N;
-      for (int64_t j0 = 0; j0 < n16; j0 += 16) {
-        __m256i acc0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + j0));
-        __m256i acc1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + j0 + 8));
-        for (int64_t k = 0; k < K; ++k) {
-          const int32_t av = a[k];
-          if (av == 0) continue;
-          const __m256i va = _mm256_set1_epi32(av);
-          const int8_t* b = B + k * N + j0;
-          const __m256i vb0 = _mm256_cvtepi8_epi32(
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b)));
-          const __m256i vb1 = _mm256_cvtepi8_epi32(
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + 8)));
-          acc0 = _mm256_add_epi32(acc0, _mm256_mullo_epi32(va, vb0));
-          acc1 = _mm256_add_epi32(acc1, _mm256_mullo_epi32(va, vb1));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + j0), acc0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + j0 + 8), acc1);
-      }
-      // Scalar tail for N % 16 columns, K-blocked like the scalar kernel.
-      if (n16 < N) {
-        for (int64_t k0 = 0; k0 < K; k0 += kKBlock) {
-          const int64_t k1 = std::min(K, k0 + kKBlock);
-          for (int64_t k = k0; k < k1; ++k) {
-            const int32_t av = a[k];
-            if (av == 0) continue;
-            const int8_t* b = B + k * N;
-            for (int64_t j = n16; j < N; ++j) c[j] += av * b[j];
-          }
-        }
-      }
-    }
-  });
-}
-
-// Bit p*2 set when A-row pair p of this 8-pair block (bytes 2p, 2p+1 of
-// `av`) has any nonzero byte.
-inline uint32_t nonzero_pair_mask8(const __m128i av) {
-  const uint32_t nz =
-      0xFFFFu ^ static_cast<uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(av, _mm_setzero_si128())));
-  return (nz | (nz >> 1)) & 0x5555u;
-}
-
-// The eight (a0, a1) int16 pair-broadcasts of one 16-byte A block, built with
-// vector shuffles only: sign-extend the block to int16 (one 32-bit lane per
-// pair), mirror its 128-bit halves, then broadcast each lane with an
-// immediate-index shuffle. ~2 uops per broadcast, vs ~6 for rebuilding
-// (a1 << 16) | a0 through scalar registers each pair.
-struct PairBroadcast8 {
-  __m256i va[8];
-  explicit PairBroadcast8(const __m128i a8) {
-    const __m256i a16 = _mm256_cvtepi8_epi16(a8);
-    const __m256i lo = _mm256_permute2x128_si256(a16, a16, 0x00);
-    const __m256i hi = _mm256_permute2x128_si256(a16, a16, 0x11);
-    va[0] = _mm256_shuffle_epi32(lo, 0x00);
-    va[1] = _mm256_shuffle_epi32(lo, 0x55);
-    va[2] = _mm256_shuffle_epi32(lo, 0xAA);
-    va[3] = _mm256_shuffle_epi32(lo, 0xFF);
-    va[4] = _mm256_shuffle_epi32(hi, 0x00);
-    va[5] = _mm256_shuffle_epi32(hi, 0x55);
-    va[6] = _mm256_shuffle_epi32(hi, 0xAA);
-    va[7] = _mm256_shuffle_epi32(hi, 0xFF);
-  }
-};
-
-// Below this many nonzero pairs (of 8) the tzcnt-driven sparse walk beats
-// processing the whole block; post-ReLU activation rows sit on both sides.
-constexpr int kDensePairThreshold = 3;
-
-// Store policies: the packed GEMM loop bodies below are templates over how a
-// finished accumulator tile leaves the registers. RawStore writes int32 C
-// exactly as the pre-fusion kernels did; EpiStore runs the fused epilogue on
-// each lane and stores narrow. Accumulation is the SAME instruction sequence
-// either way, so fused and unfused results agree bit-for-bit by construction.
-
-// Plain int32 stores into C; the last partial column group maskstores so
-// packed-layout padding columns are never written.
-struct RawStore {
-  int32_t* C;
-  int64_t N, n8;
-  __m256i tail_mask;
-  RawStore(int32_t* c, int64_t n) : C(c), N(n), n8(n - (n % 8)) {
-    // Lane mask for the final partial group: lane l live iff n8 + l < N.
-    tail_mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int32_t>(N - n8)),
-                                   _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  }
-  void store16(int64_t i, int64_t j0, __m256i acc0, __m256i acc1) const {
-    int32_t* c = C + i * N + j0;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 8), acc1);
-  }
-  void store8(int64_t i, int64_t j0, __m256i acc) const {
-    int32_t* c = C + i * N + j0;
-    if (j0 < n8) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(c), acc);
-    } else {
-      _mm256_maskstore_epi32(c, tail_mask, acc);
-    }
-  }
-};
-
 // ---- Vectorized epilogue ---------------------------------------------------
 // epi_apply in 8 int32 lanes. Legal only when the plan set Epilogue::vec32
 // (every intermediate step value provably fits int32 — including the
@@ -260,7 +150,7 @@ inline void epi_store_vec(const Epilogue& e, int64_t idx, __m256i v) {
   }
 }
 
-// Fused retire: run the epilogue on the accumulator tile while it is still in
+// Retire: run the epilogue on an 8-lane accumulator while it is still in
 // registers (vec32), or spill to the stack and walk the int64 scalar epilogue
 // per lane otherwise. Lanes at column >= N are packed-layout padding —
 // computed against zero B columns but never written (epi_store would index
@@ -269,7 +159,7 @@ struct EpiStore {
   const Epilogue* e;
   const EpiVec* v;  ///< prepared vector steps; null when !e->vec32
   int64_t N;
-  void flush8(int64_t i, int64_t j0, __m256i acc) const {
+  void store8(int64_t i, int64_t j0, __m256i acc) const {
     const int64_t nvalid = std::min<int64_t>(8, N - j0);
     if (v) {
       const __m256i r = v->apply(acc, j0);
@@ -288,241 +178,39 @@ struct EpiStore {
       epi_store(*e, i * N + j0 + l, epi_apply(*e, t[l], j0 + l));
     }
   }
-  void store16(int64_t i, int64_t j0, __m256i acc0, __m256i acc1) const {
-    flush8(i, j0, acc0);
-    flush8(i, j0 + 8, acc1);
-  }
-  void store8(int64_t i, int64_t j0, __m256i acc) const { flush8(i, j0, acc); }
 };
 
-// Packed-B GEMM: B comes k-pair-interleaved as int16 (pack_b_pair16), so one
-// vpmaddwd computes a0*B[2p][n] + a1*B[2p+1][n] for 8 columns at once — 16
-// exact int16*int16 multiply-adds per instruction, with the pair sum and the
-// running accumulation both in int32 (the plan's bounds prove no partial sum
-// can overflow). K runs in a single pass, so the output is overwritten from
-// zero-initialized registers — the caller skips its memset entirely.
+// ---- Pair-walk GEMM ----------------------------------------------------------
+// B comes k-pair-interleaved (pack_b_pair16 as int16, pack_b_nib4 as nibbles),
+// so one vpmaddwd computes a0*B[2p][n] + a1*B[2p+1][n] for 8 columns at once —
+// 16 exact int16*int16 multiply-adds per instruction, with the pair sum and
+// the running accumulation both in int32 (the plan's bounds prove no partial
+// sum can overflow). K runs in a single pass from zeroed registers.
 //
-// The packed layout pads columns to packed_n(N) (zoo conv layers run 8-16
+// The packed layouts pad columns to packed_n(N) (zoo conv layers run 8-16
 // channels wide, frequently not a multiple of 8), so every column group is a
 // full 8-lane vector; the last partial group computes all 8 lanes against
-// zero-padded B columns and retires through the store policy's tail path.
+// zero-padded B columns and retires through EpiStore's tail path.
 //
-// A rows are walked in 8-pair (16-byte) blocks. One vector compare finds the
-// block's nonzero pairs; near-dense blocks (LeakyReLU activations, im2col
-// interiors) take an unrolled path whose pair broadcasts come from
-// PairBroadcast8 shuffles, while sparse blocks (post-ReLU zeros) visit only
+// Register tile: R rows (1 or 2) x 16 columns, then x 8 for the last group.
+// One row is load-bound — every vpmaddwd consumes a fresh B vector — so the
+// multiply ports sit half idle; a second row re-uses each B vector, doubling
+// the multiply-accumulate work per byte loaded. The 1-row tile only retires
+// an odd final row.
+//
+// A rows are walked in 8-pair blocks widened to int16 (one 32-bit lane per
+// (a0, a1) pair). One vector compare per row finds the block's nonzero pairs,
+// OR'd across the tile's rows: a pair zero in one row contributes a zero
+// product there, never a wrong one. Near-dense blocks (LeakyReLU
+// activations, im2col interiors) take an unrolled path whose pair broadcasts
+// come from vector shuffles, while sparse blocks (post-ReLU zeros) visit only
 // their nonzero pairs via a count-trailing-zeros loop. Both read A through
-// the 32-byte slack the caller guarantees; any beyond-K byte of the final
+// the 32-byte slack the caller guarantees; any beyond-K value of the final
 // pair multiplies the zero-padded tail of packed B.
-// This is the engine's hot conv/dense path.
-template <class Store>
-void gemm_s8p16_body(const int8_t* A, const int16_t* Bp, int64_t M, int64_t N,
-                     int64_t K, const Store& st) {
-  const int64_t pairs = (K + 1) / 2;
-  const int64_t np = packed_n(N);
-  const int64_t n16 = N - (N % 16);
-  parallel_for(0, M, grain_for(M, 2 * K * N, kGemmTargetOps), [&](int64_t m0, int64_t m1) {
-    for (int64_t i = m0; i < m1; ++i) {
-      const int8_t* a = A + i * K;
-      for (int64_t j0 = 0; j0 < n16; j0 += 16) {
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m128i a8 =
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + 2 * pb));
-          uint32_t pm = nonzero_pair_mask8(a8);
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << (2 * rem)) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const PairBroadcast8 bc(a8);
-            const int16_t* b = Bp + (pb * np + j0) * 2;
-            for (int j = 0; j < 8; ++j, b += 2 * np) {
-              acc0 = _mm256_add_epi32(
-                  acc0, _mm256_madd_epi16(bc.va[j],
-                                          _mm256_loadu_si256(
-                                              reinterpret_cast<const __m256i*>(b))));
-              acc1 = _mm256_add_epi32(
-                  acc1, _mm256_madd_epi16(bc.va[j],
-                                          _mm256_loadu_si256(
-                                              reinterpret_cast<const __m256i*>(b + 16))));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + (__builtin_ctz(pm) >> 1);
-            pm &= pm - 1;
-            const int32_t a0 = a[2 * p];
-            const int32_t a1 = a[2 * p + 1];  // odd-K slack multiplies zero B
-            const __m256i va = _mm256_set1_epi32((a1 << 16) | (a0 & 0xFFFF));
-            const int16_t* b = Bp + (p * np + j0) * 2;
-            acc0 = _mm256_add_epi32(
-                acc0, _mm256_madd_epi16(va, _mm256_loadu_si256(
-                                                reinterpret_cast<const __m256i*>(b))));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(va, _mm256_loadu_si256(
-                                                reinterpret_cast<const __m256i*>(b + 16))));
-          }
-        }
-        st.store16(i, j0, acc0, acc1);
-      }
-      for (int64_t j0 = n16; j0 < np; j0 += 8) {
-        __m256i acc = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m128i a8 =
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + 2 * pb));
-          uint32_t pm = nonzero_pair_mask8(a8);
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << (2 * rem)) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const PairBroadcast8 bc(a8);
-            const int16_t* b = Bp + (pb * np + j0) * 2;
-            for (int j = 0; j < 8; ++j, b += 2 * np) {
-              acc = _mm256_add_epi32(
-                  acc, _mm256_madd_epi16(bc.va[j],
-                                         _mm256_loadu_si256(
-                                             reinterpret_cast<const __m256i*>(b))));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + (__builtin_ctz(pm) >> 1);
-            pm &= pm - 1;
-            const int32_t a0 = a[2 * p];
-            const int32_t a1 = a[2 * p + 1];
-            const __m256i va = _mm256_set1_epi32((a1 << 16) | (a0 & 0xFFFF));
-            const int16_t* b = Bp + (p * np + j0) * 2;
-            acc = _mm256_add_epi32(
-                acc, _mm256_madd_epi16(va, _mm256_loadu_si256(
-                                               reinterpret_cast<const __m256i*>(b))));
-          }
-        }
-        st.store8(i, j0, acc);
-      }
-    }
-  });
-}
-
-// int16-activation variant of the packed-B GEMM. Identical structure; the
-// 8-pair block is one 32-byte load whose 32-bit lanes already hold the
-// (a0, a1) int16 pairs, so no widening shuffle is needed and the nonzero-pair
-// mask is a single epi32 compare. Pair products are bounded by
-// 2 * 2^15 * 2^7 < 2^23, and the plan's int32 output width certifies the
-// |x| * sum|w| bound that dominates every partial sum.
-template <class Store>
-void gemm_s16p16_body(const int16_t* A, const int16_t* Bp, int64_t M, int64_t N,
-                      int64_t K, const Store& st) {
-  const int64_t pairs = (K + 1) / 2;
-  const int64_t np = packed_n(N);
-  const int64_t n16 = N - (N % 16);
-  parallel_for(0, M, grain_for(M, 2 * K * N, kGemmTargetOps), [&](int64_t m0, int64_t m1) {
-    for (int64_t i = m0; i < m1; ++i) {
-      const int16_t* a = A + i * K;
-      for (int64_t j0 = 0; j0 < n16; j0 += 16) {
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m256i av =
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 2 * pb));
-          uint32_t pm = 0xFFu ^ static_cast<uint32_t>(_mm256_movemask_ps(
-              _mm256_castsi256_ps(_mm256_cmpeq_epi32(av, _mm256_setzero_si256()))));
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const __m256i lo = _mm256_permute2x128_si256(av, av, 0x00);
-            const __m256i hi = _mm256_permute2x128_si256(av, av, 0x11);
-            const __m256i va[8] = {
-                _mm256_shuffle_epi32(lo, 0x00), _mm256_shuffle_epi32(lo, 0x55),
-                _mm256_shuffle_epi32(lo, 0xAA), _mm256_shuffle_epi32(lo, 0xFF),
-                _mm256_shuffle_epi32(hi, 0x00), _mm256_shuffle_epi32(hi, 0x55),
-                _mm256_shuffle_epi32(hi, 0xAA), _mm256_shuffle_epi32(hi, 0xFF)};
-            const int16_t* b = Bp + (pb * np + j0) * 2;
-            for (int j = 0; j < 8; ++j, b += 2 * np) {
-              acc0 = _mm256_add_epi32(
-                  acc0, _mm256_madd_epi16(va[j],
-                                          _mm256_loadu_si256(
-                                              reinterpret_cast<const __m256i*>(b))));
-              acc1 = _mm256_add_epi32(
-                  acc1, _mm256_madd_epi16(va[j],
-                                          _mm256_loadu_si256(
-                                              reinterpret_cast<const __m256i*>(b + 16))));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + __builtin_ctz(pm);
-            pm &= pm - 1;
-            const int32_t a0 = a[2 * p];
-            const int32_t a1 = a[2 * p + 1];  // odd-K slack multiplies zero B
-            const __m256i va = _mm256_set1_epi32((a1 << 16) | (a0 & 0xFFFF));
-            const int16_t* b = Bp + (p * np + j0) * 2;
-            acc0 = _mm256_add_epi32(
-                acc0, _mm256_madd_epi16(va, _mm256_loadu_si256(
-                                                reinterpret_cast<const __m256i*>(b))));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(va, _mm256_loadu_si256(
-                                                reinterpret_cast<const __m256i*>(b + 16))));
-          }
-        }
-        st.store16(i, j0, acc0, acc1);
-      }
-      for (int64_t j0 = n16; j0 < np; j0 += 8) {
-        __m256i acc = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m256i av =
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 2 * pb));
-          uint32_t pm = 0xFFu ^ static_cast<uint32_t>(_mm256_movemask_ps(
-              _mm256_castsi256_ps(_mm256_cmpeq_epi32(av, _mm256_setzero_si256()))));
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const __m256i lo = _mm256_permute2x128_si256(av, av, 0x00);
-            const __m256i hi = _mm256_permute2x128_si256(av, av, 0x11);
-            const __m256i va[8] = {
-                _mm256_shuffle_epi32(lo, 0x00), _mm256_shuffle_epi32(lo, 0x55),
-                _mm256_shuffle_epi32(lo, 0xAA), _mm256_shuffle_epi32(lo, 0xFF),
-                _mm256_shuffle_epi32(hi, 0x00), _mm256_shuffle_epi32(hi, 0x55),
-                _mm256_shuffle_epi32(hi, 0xAA), _mm256_shuffle_epi32(hi, 0xFF)};
-            const int16_t* b = Bp + (pb * np + j0) * 2;
-            for (int j = 0; j < 8; ++j, b += 2 * np) {
-              acc = _mm256_add_epi32(
-                  acc, _mm256_madd_epi16(va[j],
-                                         _mm256_loadu_si256(
-                                             reinterpret_cast<const __m256i*>(b))));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + __builtin_ctz(pm);
-            pm &= pm - 1;
-            const int32_t a0 = a[2 * p];
-            const int32_t a1 = a[2 * p + 1];
-            const __m256i va = _mm256_set1_epi32((a1 << 16) | (a0 & 0xFFFF));
-            const int16_t* b = Bp + (p * np + j0) * 2;
-            acc = _mm256_add_epi32(
-                acc, _mm256_madd_epi16(va, _mm256_loadu_si256(
-                                               reinterpret_cast<const __m256i*>(b))));
-          }
-        }
-        st.store8(i, j0, acc);
-      }
-    }
-  });
-}
-
-// ---- Two-row register tile for the FUSED packed-B GEMM --------------------
-// The single-row bodies above are load-bound: every vpmaddwd consumes a fresh
-// B vector, so the multiply ports sit half idle waiting on loads. Re-using
-// each B vector against a second A row doubles the multiply-accumulate work
-// per byte loaded — the win that makes fusion a net speedup on compute-bound
-// conv layers, not just on the arena-traffic-bound ones. Only the fused entry
-// points take this path; the unfused body stays untouched so the pre-fusion
-// engine's measured behavior is preserved exactly as the comparison baseline.
 //
-// Bit-exactness: each row's accumulator sees the same pair-products as the
-// single-row walk, and int32 adds are associative/commutative under the
-// plan's no-overflow bound, so any accumulation order yields the same sums.
-// The sparsity skip uses the OR of both rows' nonzero-pair masks: a pair
-// zero in one row contributes a zero product there, never a wrong one.
+// Bit-exactness: each row's accumulator sees the same pair products under
+// every tile shape and skip pattern, and int32 adds are associative and
+// commutative under the plan's no-overflow bound.
 
 /// One 8-pair A block as 8 int16 (a0, a1) pairs in 32-bit lanes.
 inline __m256i pair_block16(const int8_t* a) {
@@ -538,155 +226,33 @@ inline uint32_t pair_mask8(const __m256i a16) {
       _mm256_castsi256_ps(_mm256_cmpeq_epi32(a16, _mm256_setzero_si256()))));
 }
 
-/// The eight pair-broadcasts of an already-widened 8-pair block register
-/// (PairBroadcast8's shuffle tail without the int8 load/widen head).
-struct PairShuffle8 {
-  __m256i va[8];
-  explicit PairShuffle8(const __m256i a16) {
-    const __m256i lo = _mm256_permute2x128_si256(a16, a16, 0x00);
-    const __m256i hi = _mm256_permute2x128_si256(a16, a16, 0x11);
-    va[0] = _mm256_shuffle_epi32(lo, 0x00);
-    va[1] = _mm256_shuffle_epi32(lo, 0x55);
-    va[2] = _mm256_shuffle_epi32(lo, 0xAA);
-    va[3] = _mm256_shuffle_epi32(lo, 0xFF);
-    va[4] = _mm256_shuffle_epi32(hi, 0x00);
-    va[5] = _mm256_shuffle_epi32(hi, 0x55);
-    va[6] = _mm256_shuffle_epi32(hi, 0xAA);
-    va[7] = _mm256_shuffle_epi32(hi, 0xFF);
-  }
-};
-
-/// Store adapter shifting row indices: the 2-row body delegates an odd final
-/// row to the single-row body over a shifted A operand.
-template <class Store>
-struct RowShift {
-  const Store& inner;
-  int64_t row0;
-  void store16(int64_t i, int64_t j0, __m256i acc0, __m256i acc1) const {
-    inner.store16(i + row0, j0, acc0, acc1);
-  }
-  void store8(int64_t i, int64_t j0, __m256i acc) const {
-    inner.store8(i + row0, j0, acc);
-  }
-};
-
-/// 2 rows x 16 columns (M must be even; entry points peel the tail row).
-template <typename AT, class Store>
-void gemm_pair16_epi2_body(const AT* A, const int16_t* Bp, int64_t M, int64_t N,
-                           int64_t K, const Store& st) {
-  const int64_t pairs = (K + 1) / 2;
-  const int64_t np = packed_n(N);
-  const int64_t n16 = N - (N % 16);
-  const int64_t nt = M / 2;
-  parallel_for(0, nt, grain_for(nt, 4 * K * N, kGemmTargetOps), [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      const int64_t i = 2 * t;
-      const AT* a0r = A + i * K;
-      const AT* a1r = a0r + K;
-      for (int64_t j0 = 0; j0 < n16; j0 += 16) {
-        __m256i acc00 = _mm256_setzero_si256();
-        __m256i acc01 = _mm256_setzero_si256();
-        __m256i acc10 = _mm256_setzero_si256();
-        __m256i acc11 = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m256i blk0 = pair_block16(a0r + 2 * pb);
-          const __m256i blk1 = pair_block16(a1r + 2 * pb);
-          uint32_t pm = pair_mask8(blk0) | pair_mask8(blk1);
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const PairShuffle8 bc0(blk0);
-            const PairShuffle8 bc1(blk1);
-            const int16_t* b = Bp + (pb * np + j0) * 2;
-            for (int j = 0; j < 8; ++j, b += 2 * np) {
-              const __m256i b0 =
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-              const __m256i b1 =
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 16));
-              acc00 = _mm256_add_epi32(acc00, _mm256_madd_epi16(bc0.va[j], b0));
-              acc01 = _mm256_add_epi32(acc01, _mm256_madd_epi16(bc0.va[j], b1));
-              acc10 = _mm256_add_epi32(acc10, _mm256_madd_epi16(bc1.va[j], b0));
-              acc11 = _mm256_add_epi32(acc11, _mm256_madd_epi16(bc1.va[j], b1));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + __builtin_ctz(pm);
-            pm &= pm - 1;
-            const int16_t* bp = Bp + (p * np + j0) * 2;
-            const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp));
-            const __m256i b1 =
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + 16));
-            const int32_t r0a0 = a0r[2 * p];
-            const int32_t r0a1 = a0r[2 * p + 1];  // odd-K slack multiplies zero B
-            const int32_t r1a0 = a1r[2 * p];
-            const int32_t r1a1 = a1r[2 * p + 1];
-            const __m256i v0 = _mm256_set1_epi32((r0a1 << 16) | (r0a0 & 0xFFFF));
-            const __m256i v1 = _mm256_set1_epi32((r1a1 << 16) | (r1a0 & 0xFFFF));
-            acc00 = _mm256_add_epi32(acc00, _mm256_madd_epi16(v0, b0));
-            acc01 = _mm256_add_epi32(acc01, _mm256_madd_epi16(v0, b1));
-            acc10 = _mm256_add_epi32(acc10, _mm256_madd_epi16(v1, b0));
-            acc11 = _mm256_add_epi32(acc11, _mm256_madd_epi16(v1, b1));
-          }
-        }
-        st.store16(i, j0, acc00, acc01);
-        st.store16(i + 1, j0, acc10, acc11);
-      }
-      for (int64_t j0 = n16; j0 < np; j0 += 8) {
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m256i blk0 = pair_block16(a0r + 2 * pb);
-          const __m256i blk1 = pair_block16(a1r + 2 * pb);
-          uint32_t pm = pair_mask8(blk0) | pair_mask8(blk1);
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const PairShuffle8 bc0(blk0);
-            const PairShuffle8 bc1(blk1);
-            const int16_t* b = Bp + (pb * np + j0) * 2;
-            for (int j = 0; j < 8; ++j, b += 2 * np) {
-              const __m256i b0 =
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-              acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(bc0.va[j], b0));
-              acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(bc1.va[j], b0));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + __builtin_ctz(pm);
-            pm &= pm - 1;
-            const int16_t* bp = Bp + (p * np + j0) * 2;
-            const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp));
-            const int32_t r0a0 = a0r[2 * p];
-            const int32_t r0a1 = a0r[2 * p + 1];
-            const int32_t r1a0 = a1r[2 * p];
-            const int32_t r1a1 = a1r[2 * p + 1];
-            acc0 = _mm256_add_epi32(
-                acc0, _mm256_madd_epi16(
-                          _mm256_set1_epi32((r0a1 << 16) | (r0a0 & 0xFFFF)), b0));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(
-                          _mm256_set1_epi32((r1a1 << 16) | (r1a0 & 0xFFFF)), b0));
-          }
-        }
-        st.store8(i, j0, acc0);
-        st.store8(i + 1, j0, acc1);
-      }
-    }
-  });
+/// The eight pair-broadcasts of a widened 8-pair block (va[j] holds pair j
+/// in every lane), built with shuffles only: mirror the block's 128-bit
+/// halves, then splat each lane with an immediate-index shuffle — ~2 uops per
+/// broadcast, vs ~6 for rebuilding (a1 << 16) | a0 through scalar registers.
+inline void pair_broadcast8(const __m256i a16, __m256i* va) {
+  const __m256i lo = _mm256_permute2x128_si256(a16, a16, 0x00);
+  const __m256i hi = _mm256_permute2x128_si256(a16, a16, 0x11);
+  va[0] = _mm256_shuffle_epi32(lo, 0x00);
+  va[1] = _mm256_shuffle_epi32(lo, 0x55);
+  va[2] = _mm256_shuffle_epi32(lo, 0xAA);
+  va[3] = _mm256_shuffle_epi32(lo, 0xFF);
+  va[4] = _mm256_shuffle_epi32(hi, 0x00);
+  va[5] = _mm256_shuffle_epi32(hi, 0x55);
+  va[6] = _mm256_shuffle_epi32(hi, 0xAA);
+  va[7] = _mm256_shuffle_epi32(hi, 0xFF);
 }
 
-// ---- Nibble-packed (int4) B GEMM -------------------------------------------
-// The pair16 walk with the 32-byte packed-B vector load replaced by an 8-byte
-// nibble load and an in-register sign-extend: widen the packed bytes to
-// int16, take the high nibbles with one arithmetic >> 4 (the low nibble is a
-// non-negative sub-value, so the shift is an exact floor division) and the
-// low nibbles with << 12 then >> 12, then interleave low/high back into the
-// (even, odd) int16 pair order vpmaddwd expects — the exact vector a pair16
-// load of the same weights would produce, so accumulation (and therefore the
-// result) is bit-identical to every other algo. Six unpack ops buy a 4x
-// smaller B working set than the int16 pair copy.
+// Below this many nonzero pairs (of 8) the tzcnt-driven sparse walk beats
+// processing the whole block; post-ReLU activation rows sit on both sides.
+constexpr int kDensePairThreshold = 3;
+
+/// Sign-extend 8 packed nibble bytes into the (even, odd) int16 pair vector
+/// a pair16 load of the same weights would produce: widen to int16, take
+/// the high nibbles with one arithmetic >> 4 (the low nibble is a
+/// non-negative sub-value, so the shift is an exact floor division) and the
+/// low nibbles with << 12 then >> 12, then interleave low/high. Six unpack
+/// ops buy a 4x smaller B working set than the int16 pair copy.
 inline __m256i nib_load8(const uint8_t* b) {
   const __m128i s =
       _mm_cvtepi8_epi16(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(b)));
@@ -695,226 +261,129 @@ inline __m256i nib_load8(const uint8_t* b) {
   return _mm256_set_m128i(_mm_unpackhi_epi16(lo, hi), _mm_unpacklo_epi16(lo, hi));
 }
 
-/// 2 rows x 16 columns, nibble B (M must be even; entry points peel the tail
-/// row through the single-row body below).
-template <typename AT, class Store>
-void gemm_nib4_epi2_body(const AT* A, const uint8_t* Bn, int64_t M, int64_t N,
-                         int64_t K, const Store& st) {
+// B loaders: the (even, odd) weight pairs of columns j..j+7 in K-row pair p.
+struct Pair16Load {
+  const int16_t* B;
+  int64_t np;  ///< packed_n(N)
+  __m256i load(int64_t p, int64_t j) const {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(B + (p * np + j) * 2));
+  }
+};
+
+struct Nib4Load {
+  const uint8_t* B;
+  int64_t np;  ///< packed_n(N)
+  __m256i load(int64_t p, int64_t j) const { return nib_load8(B + p * np + j); }
+};
+
+/// Rows i..i+R-1 (A row pointer `a`, row stride K) x columns j0..j0+8C-1:
+/// accumulate over all of K, then retire through `st`.
+template <int R, int C, typename AT, class BLoad>
+inline void pair_tile(const AT* a, int64_t K, const BLoad& bl, int64_t pairs, int64_t i,
+                      int64_t j0, const EpiStore& st) {
+  __m256i acc[R][C];
+  for (int r = 0; r < R; ++r) {
+    for (int c = 0; c < C; ++c) acc[r][c] = _mm256_setzero_si256();
+  }
+  for (int64_t pb = 0; pb < pairs; pb += 8) {
+    __m256i blk[R];
+    uint32_t pm = 0;
+    for (int r = 0; r < R; ++r) {
+      blk[r] = pair_block16(a + r * K + 2 * pb);
+      pm |= pair_mask8(blk[r]);
+    }
+    const int64_t rem = pairs - pb;
+    if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
+    if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
+      __m256i va[R][8];
+      for (int r = 0; r < R; ++r) pair_broadcast8(blk[r], va[r]);
+      for (int j = 0; j < 8; ++j) {
+        __m256i b[C];
+        for (int c = 0; c < C; ++c) b[c] = bl.load(pb + j, j0 + 8 * c);
+        for (int r = 0; r < R; ++r) {
+          for (int c = 0; c < C; ++c) {
+            acc[r][c] = _mm256_add_epi32(acc[r][c], _mm256_madd_epi16(va[r][j], b[c]));
+          }
+        }
+      }
+      continue;
+    }
+    while (pm) {
+      const int64_t p = pb + __builtin_ctz(pm);
+      pm &= pm - 1;
+      __m256i b[C];
+      for (int c = 0; c < C; ++c) b[c] = bl.load(p, j0 + 8 * c);
+      for (int r = 0; r < R; ++r) {
+        const int32_t a0 = a[r * K + 2 * p];
+        const int32_t a1 = a[r * K + 2 * p + 1];  // odd-K slack multiplies zero B
+        const __m256i v = _mm256_set1_epi32((a1 << 16) | (a0 & 0xFFFF));
+        for (int c = 0; c < C; ++c) {
+          acc[r][c] = _mm256_add_epi32(acc[r][c], _mm256_madd_epi16(v, b[c]));
+        }
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int c = 0; c < C; ++c) st.store8(i + r, j0 + 8 * c, acc[r][c]);
+  }
+}
+
+/// Rows [m0, m1) in R-row tiles ((m1 - m0) % R == 0), parallel over tiles.
+template <int R, typename AT, class BLoad>
+void gemm_pair_body(const AT* A, const BLoad& bl, int64_t m0, int64_t m1, int64_t N,
+                    int64_t K, const EpiStore& st) {
   const int64_t pairs = (K + 1) / 2;
   const int64_t np = packed_n(N);
   const int64_t n16 = N - (N % 16);
-  const int64_t nt = M / 2;
-  parallel_for(0, nt, grain_for(nt, 4 * K * N, kGemmTargetOps), [&](int64_t t0, int64_t t1) {
+  const int64_t nt = (m1 - m0) / R;
+  parallel_for(0, nt, grain_for(nt, 2 * R * K * N, kGemmTargetOps),
+               [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
-      const int64_t i = 2 * t;
-      const AT* a0r = A + i * K;
-      const AT* a1r = a0r + K;
-      for (int64_t j0 = 0; j0 < n16; j0 += 16) {
-        __m256i acc00 = _mm256_setzero_si256();
-        __m256i acc01 = _mm256_setzero_si256();
-        __m256i acc10 = _mm256_setzero_si256();
-        __m256i acc11 = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m256i blk0 = pair_block16(a0r + 2 * pb);
-          const __m256i blk1 = pair_block16(a1r + 2 * pb);
-          uint32_t pm = pair_mask8(blk0) | pair_mask8(blk1);
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const PairShuffle8 bc0(blk0);
-            const PairShuffle8 bc1(blk1);
-            const uint8_t* b = Bn + pb * np + j0;
-            for (int j = 0; j < 8; ++j, b += np) {
-              const __m256i b0 = nib_load8(b);
-              const __m256i b1 = nib_load8(b + 8);
-              acc00 = _mm256_add_epi32(acc00, _mm256_madd_epi16(bc0.va[j], b0));
-              acc01 = _mm256_add_epi32(acc01, _mm256_madd_epi16(bc0.va[j], b1));
-              acc10 = _mm256_add_epi32(acc10, _mm256_madd_epi16(bc1.va[j], b0));
-              acc11 = _mm256_add_epi32(acc11, _mm256_madd_epi16(bc1.va[j], b1));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + __builtin_ctz(pm);
-            pm &= pm - 1;
-            const uint8_t* bp = Bn + p * np + j0;
-            const __m256i b0 = nib_load8(bp);
-            const __m256i b1 = nib_load8(bp + 8);
-            const int32_t r0a0 = a0r[2 * p];
-            const int32_t r0a1 = a0r[2 * p + 1];  // odd-K slack multiplies zero nibble
-            const int32_t r1a0 = a1r[2 * p];
-            const int32_t r1a1 = a1r[2 * p + 1];
-            const __m256i v0 = _mm256_set1_epi32((r0a1 << 16) | (r0a0 & 0xFFFF));
-            const __m256i v1 = _mm256_set1_epi32((r1a1 << 16) | (r1a0 & 0xFFFF));
-            acc00 = _mm256_add_epi32(acc00, _mm256_madd_epi16(v0, b0));
-            acc01 = _mm256_add_epi32(acc01, _mm256_madd_epi16(v0, b1));
-            acc10 = _mm256_add_epi32(acc10, _mm256_madd_epi16(v1, b0));
-            acc11 = _mm256_add_epi32(acc11, _mm256_madd_epi16(v1, b1));
-          }
-        }
-        st.store16(i, j0, acc00, acc01);
-        st.store16(i + 1, j0, acc10, acc11);
-      }
-      for (int64_t j0 = n16; j0 < np; j0 += 8) {
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m256i blk0 = pair_block16(a0r + 2 * pb);
-          const __m256i blk1 = pair_block16(a1r + 2 * pb);
-          uint32_t pm = pair_mask8(blk0) | pair_mask8(blk1);
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const PairShuffle8 bc0(blk0);
-            const PairShuffle8 bc1(blk1);
-            const uint8_t* b = Bn + pb * np + j0;
-            for (int j = 0; j < 8; ++j, b += np) {
-              const __m256i b0 = nib_load8(b);
-              acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(bc0.va[j], b0));
-              acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(bc1.va[j], b0));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + __builtin_ctz(pm);
-            pm &= pm - 1;
-            const __m256i b0 = nib_load8(Bn + p * np + j0);
-            const int32_t r0a0 = a0r[2 * p];
-            const int32_t r0a1 = a0r[2 * p + 1];
-            const int32_t r1a0 = a1r[2 * p];
-            const int32_t r1a1 = a1r[2 * p + 1];
-            acc0 = _mm256_add_epi32(
-                acc0, _mm256_madd_epi16(
-                          _mm256_set1_epi32((r0a1 << 16) | (r0a0 & 0xFFFF)), b0));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(
-                          _mm256_set1_epi32((r1a1 << 16) | (r1a0 & 0xFFFF)), b0));
-          }
-        }
-        st.store8(i, j0, acc0);
-        st.store8(i + 1, j0, acc1);
-      }
-    }
-  });
-}
-
-/// Single-row nibble-B body (the odd tail row of the 2-row walk).
-template <typename AT, class Store>
-void gemm_nib4_epi1_body(const AT* A, const uint8_t* Bn, int64_t M, int64_t N,
-                         int64_t K, const Store& st) {
-  const int64_t pairs = (K + 1) / 2;
-  const int64_t np = packed_n(N);
-  parallel_for(0, M, grain_for(M, 2 * K * N, kGemmTargetOps), [&](int64_t m0, int64_t m1) {
-    for (int64_t i = m0; i < m1; ++i) {
+      const int64_t i = m0 + R * t;
       const AT* a = A + i * K;
-      for (int64_t j0 = 0; j0 < np; j0 += 8) {
-        __m256i acc = _mm256_setzero_si256();
-        for (int64_t pb = 0; pb < pairs; pb += 8) {
-          const __m256i blk = pair_block16(a + 2 * pb);
-          uint32_t pm = pair_mask8(blk);
-          const int64_t rem = pairs - pb;
-          if (rem < 8) pm &= (uint32_t{1} << rem) - 1;
-          if (rem >= 8 && __builtin_popcount(pm) >= kDensePairThreshold) {
-            const PairShuffle8 bc(blk);
-            const uint8_t* b = Bn + pb * np + j0;
-            for (int j = 0; j < 8; ++j, b += np) {
-              acc = _mm256_add_epi32(acc, _mm256_madd_epi16(bc.va[j], nib_load8(b)));
-            }
-            continue;
-          }
-          while (pm) {
-            const int64_t p = pb + __builtin_ctz(pm);
-            pm &= pm - 1;
-            const int32_t a0 = a[2 * p];
-            const int32_t a1 = a[2 * p + 1];  // odd-K slack multiplies zero nibble
-            acc = _mm256_add_epi32(
-                acc, _mm256_madd_epi16(_mm256_set1_epi32((a1 << 16) | (a0 & 0xFFFF)),
-                                       nib_load8(Bn + p * np + j0)));
-          }
-        }
-        st.store8(i, j0, acc);
-      }
+      for (int64_t j0 = 0; j0 < n16; j0 += 16) pair_tile<R, 2>(a, K, bl, pairs, i, j0, st);
+      for (int64_t j0 = n16; j0 < np; j0 += 8) pair_tile<R, 1>(a, K, bl, pairs, i, j0, st);
     }
   });
 }
 
-// Non-template entry points matching the KernelSet signatures.
-void gemm_s8p16_avx2(const int8_t* A, const int16_t* Bp, int32_t* C, int64_t M,
-                     int64_t N, int64_t K) {
-  gemm_s8p16_body(A, Bp, M, N, K, RawStore(C, N));
-}
-
-void gemm_s16p16_avx2(const int16_t* A, const int16_t* Bp, int32_t* C, int64_t M,
-                      int64_t N, int64_t K) {
-  gemm_s16p16_body(A, Bp, M, N, K, RawStore(C, N));
+/// The four GEMM entry points: prepare the vector epilogue once per call when
+/// the plan proved vec32, run 2-row tiles over the even rows and a 1-row
+/// tile over an odd final row.
+template <typename AT, class BLoad>
+void gemm_pair_epi(const AT* A, const BLoad& bl, int64_t M, int64_t N, int64_t K,
+                   const Epilogue& e) {
+  const auto run = [&](const EpiStore& st) {
+    const int64_t m2 = M - (M % 2);
+    if (m2 > 0) gemm_pair_body<2>(A, bl, 0, m2, N, K, st);
+    if (m2 < M) gemm_pair_body<1>(A, bl, m2, M, N, K, st);
+  };
+  if (e.vec32) {
+    const EpiVec ev(e);
+    run(EpiStore{&e, &ev, N});
+  } else {
+    run(EpiStore{&e, nullptr, N});
+  }
 }
 
 void gemm_s8p16_epi_avx2(const int8_t* A, const int16_t* Bp, int64_t M, int64_t N,
                          int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
-    const int64_t m2 = M - (M % 2);
-    if (m2 > 0) gemm_pair16_epi2_body(A, Bp, m2, N, K, st);
-    if (m2 < M) {
-      gemm_s8p16_body(A + m2 * K, Bp, M - m2, N, K, RowShift<EpiStore>{st, m2});
-    }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  gemm_pair_epi(A, Pair16Load{Bp, packed_n(N)}, M, N, K, e);
 }
 
 void gemm_s16p16_epi_avx2(const int16_t* A, const int16_t* Bp, int64_t M, int64_t N,
                           int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
-    const int64_t m2 = M - (M % 2);
-    if (m2 > 0) gemm_pair16_epi2_body(A, Bp, m2, N, K, st);
-    if (m2 < M) {
-      gemm_s16p16_body(A + m2 * K, Bp, M - m2, N, K, RowShift<EpiStore>{st, m2});
-    }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  gemm_pair_epi(A, Pair16Load{Bp, packed_n(N)}, M, N, K, e);
 }
 
 void gemm_s8n4_epi_avx2(const int8_t* A, const uint8_t* Bn, int64_t M, int64_t N,
                         int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
-    const int64_t m2 = M - (M % 2);
-    if (m2 > 0) gemm_nib4_epi2_body(A, Bn, m2, N, K, st);
-    if (m2 < M) {
-      gemm_nib4_epi1_body(A + m2 * K, Bn, M - m2, N, K, RowShift<EpiStore>{st, m2});
-    }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  gemm_pair_epi(A, Nib4Load{Bn, packed_n(N)}, M, N, K, e);
 }
 
 void gemm_s16n4_epi_avx2(const int16_t* A, const uint8_t* Bn, int64_t M, int64_t N,
                          int64_t K, const Epilogue& e) {
-  const auto run = [&](const EpiStore& st) {
-    const int64_t m2 = M - (M % 2);
-    if (m2 > 0) gemm_nib4_epi2_body(A, Bn, m2, N, K, st);
-    if (m2 < M) {
-      gemm_nib4_epi1_body(A + m2 * K, Bn, M - m2, N, K, RowShift<EpiStore>{st, m2});
-    }
-  };
-  if (e.vec32) {
-    const EpiVec ev(e);
-    run(EpiStore{&e, &ev, N});
-  } else {
-    run(EpiStore{&e, nullptr, N});
-  }
+  gemm_pair_epi(A, Nib4Load{Bn, packed_n(N)}, M, N, K, e);
 }
 
 // Fused depthwise: channels in chunks of up to 32 (four int32 vectors), taps
@@ -1169,17 +638,7 @@ void depthwise_s8blk_epi_avx2(const int8_t* x, const int8_t* wblk,
 
 const KernelSet* avx2_kernels() {
   if (!__builtin_cpu_supports("avx2")) return nullptr;
-  // The unfused depthwise and the cold raw-B fused GEMM reuse the scalar
-  // bodies: those inner loops are already memory-bound at int8 widths and
-  // keeping one definition keeps the registry honest about what the SIMD set
-  // actually accelerates. The hot fused paths are the packed-B epilogue
-  // GEMMs and the vector-epilogue depthwise.
   static const KernelSet ks{"avx2",
-                            gemm_s8_avx2,
-                            scalar_kernels().depthwise_s8s8s32,
-                            gemm_s8p16_avx2,
-                            gemm_s16p16_avx2,
-                            scalar_kernels().gemm_s8_epi,
                             gemm_s8p16_epi_avx2,
                             gemm_s16p16_epi_avx2,
                             depthwise_s8_epi_avx2,

@@ -1,9 +1,7 @@
 // Scalar (portable) narrow-width kernels + kernel-set selection.
 //
-// The GEMM is cache-blocked over K: a 256-row slab of B (256*N int8) stays
-// L1/L2-resident while a thread's C rows stream over it. Blocking only
-// regroups the k loop; integer accumulation is exact, so the result is
-// bit-identical for every block size, thread count, and skip pattern.
+// Integer accumulation is exact, so every kernel here is bit-identical to the
+// AVX2 set for every block size, thread count and zero-skip pattern.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -30,100 +28,38 @@ const char* algo_name(Algo a) {
 
 namespace {
 
-constexpr int64_t kKBlock = 256;
-
-void gemm_s8_scalar(const int8_t* A, const int8_t* B, int32_t* C, int64_t M, int64_t N,
-                    int64_t K) {
-  parallel_for(0, M, grain_for(M, 2 * K * N, kGemmTargetOps), [&](int64_t m0, int64_t m1) {
-    for (int64_t k0 = 0; k0 < K; k0 += kKBlock) {
-      const int64_t k1 = std::min(K, k0 + kKBlock);
-      for (int64_t i = m0; i < m1; ++i) {
-        const int8_t* a = A + i * K;
-        int32_t* c = C + i * N;
-        for (int64_t k = k0; k < k1; ++k) {
-          // Zero-skip: im2col padding and post-ReLU activations are
-          // genuinely sparse, and skipping zeros cannot change the sum.
-          const int32_t av = a[k];
-          if (av == 0) continue;
-          const int8_t* b = B + k * N;
-          for (int64_t j = 0; j < N; ++j) c[j] += av * b[j];
-        }
-      }
-    }
-  });
-}
-
-void depthwise_s8_scalar(const int8_t* x, const int8_t* w, int32_t* y,
-                         const DepthwiseArgs& a) {
-  const Conv2dGeom& g = a.geom;
-  const int64_t rows = a.batch * a.oh;
-  parallel_for(0, rows, grain_for(rows, a.ow * g.kh * g.kw * a.c * 2, kGemmTargetOps),
-               [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const int64_t b = r / a.oh;
-      const int64_t oy = r % a.oh;
-      for (int64_t ox = 0; ox < a.ow; ++ox) {
-        int32_t* out = y + (r * a.ow + ox) * a.c;
-        std::memset(out, 0, static_cast<size_t>(a.c) * sizeof(int32_t));
-        const int64_t iy0 = oy * g.stride_h - g.pad_top;
-        const int64_t ix0 = ox * g.stride_w - g.pad_left;
-        for (int64_t ky = 0; ky < g.kh; ++ky) {
-          const int64_t iy = iy0 + ky;
-          if (iy < 0 || iy >= a.h) continue;
-          for (int64_t kx = 0; kx < g.kw; ++kx) {
-            const int64_t ix = ix0 + kx;
-            if (ix < 0 || ix >= a.w) continue;
-            const int8_t* xi = x + ((b * a.h + iy) * a.w + ix) * a.c;
-            const int8_t* wk = w + (ky * g.kw + kx) * a.c;
-            for (int64_t ch = 0; ch < a.c; ++ch) {
-              out[ch] += static_cast<int32_t>(xi[ch]) * wk[ch];
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
-// Fused GEMM: accumulate a column block of one row into a stack tile, then
-// retire it through the epilogue — the int32 accumulators never reach memory.
-// Column blocks are independent, so chunking handles any N without heap
-// buffers; re-reading A per block costs less than the arena passes it saves.
+// Every kernel accumulates a column (or channel) block of one output row into
+// a stack tile, then retires it through the epilogue — the int32
+// accumulators never reach memory. Blocks are independent, so chunking
+// handles any N without heap buffers.
 constexpr int64_t kNBlock = 256;
 
-void gemm_s8_epi_scalar(const int8_t* A, const int8_t* B, int64_t M, int64_t N,
-                        int64_t K, const Epilogue& e) {
-  parallel_for(0, M, grain_for(M, 2 * K * N, kGemmTargetOps), [&](int64_t m0, int64_t m1) {
-    int32_t buf[kNBlock];
-    for (int64_t i = m0; i < m1; ++i) {
-      const int8_t* a = A + i * K;
-      for (int64_t j0 = 0; j0 < N; j0 += kNBlock) {
-        const int64_t jn = std::min(kNBlock, N - j0);
-        std::memset(buf, 0, static_cast<size_t>(jn) * sizeof(int32_t));
-        for (int64_t k = 0; k < K; ++k) {
-          const int32_t av = a[k];
-          if (av == 0) continue;
-          const int8_t* b = B + k * N + j0;
-          for (int64_t j = 0; j < jn; ++j) buf[j] += av * b[j];
-        }
-        for (int64_t j = 0; j < jn; ++j) {
-          epi_store(e, i * N + j0 + j, epi_apply(e, buf[j], j0 + j));
-        }
-      }
-    }
-  });
-}
+// B loaders for the pair walk: the (even K row, odd K row) weights of column
+// j0 + j in K-row pair p, read from pack_b_pair16 or pack_b_nib4 output.
+struct Pair16Load {
+  const int16_t* B;
+  int64_t np;  ///< packed_n(N)
+  const int16_t* row(int64_t p, int64_t j0) const { return B + (p * np + j0) * 2; }
+  static int32_t even(const int16_t* b, int64_t j) { return b[2 * j]; }
+  static int32_t odd(const int16_t* b, int64_t j) { return b[2 * j + 1]; }
+};
 
-// Fused nibble-packed-B GEMM: the pair walk of the packed int16 path with the
-// B load replaced by an in-register nibble unpack. Column blocks keep the
-// int32 accumulators on the stack exactly like gemm_s8_epi_scalar; the
-// (even, odd) K-row pairing matches pack_b_nib4, so an odd K's final pair
-// multiplies the zero high nibble.
-template <typename AT>
-void gemm_nib4_epi_scalar(const AT* A, const uint8_t* Bn, int64_t M, int64_t N,
-                          int64_t K, const Epilogue& e) {
+struct Nib4Load {
+  const uint8_t* B;
+  int64_t np;  ///< packed_n(N)
+  const uint8_t* row(int64_t p, int64_t j0) const { return B + p * np + j0; }
+  static int32_t even(const uint8_t* b, int64_t j) { return nib4_lo(b[j]); }
+  static int32_t odd(const uint8_t* b, int64_t j) { return nib4_hi(b[j]); }
+};
+
+// Packed-B GEMM: walk each A row in the (even, odd) K-row pairs both packers
+// use — an odd K's final pair multiplies the zero odd row — and skip
+// all-zero pairs (im2col padding and post-ReLU activations are genuinely
+// sparse; skipping zeros cannot change the sum).
+template <typename AT, class BLoad>
+void gemm_pair_epi_scalar(const AT* A, const BLoad& bl, int64_t M, int64_t N, int64_t K,
+                          const Epilogue& e) {
   const int64_t pairs = (K + 1) / 2;
-  const int64_t np = packed_n(N);
   parallel_for(0, M, grain_for(M, 2 * K * N, kGemmTargetOps), [&](int64_t m0, int64_t m1) {
     int32_t buf[kNBlock];
     for (int64_t i = m0; i < m1; ++i) {
@@ -135,9 +71,9 @@ void gemm_nib4_epi_scalar(const AT* A, const uint8_t* Bn, int64_t M, int64_t N,
           const int32_t a0 = a[2 * p];
           const int32_t a1 = (2 * p + 1 < K) ? static_cast<int32_t>(a[2 * p + 1]) : 0;
           if ((a0 | a1) == 0) continue;
-          const uint8_t* b = Bn + p * np + j0;
+          const auto* b = bl.row(p, j0);
           for (int64_t j = 0; j < jn; ++j) {
-            buf[j] += a0 * nib4_lo(b[j]) + a1 * nib4_hi(b[j]);
+            buf[j] += a0 * BLoad::even(b, j) + a1 * BLoad::odd(b, j);
           }
         }
         for (int64_t j = 0; j < jn; ++j) {
@@ -148,14 +84,24 @@ void gemm_nib4_epi_scalar(const AT* A, const uint8_t* Bn, int64_t M, int64_t N,
   });
 }
 
+void gemm_s8p16_epi_scalar(const int8_t* A, const int16_t* Bp, int64_t M, int64_t N,
+                           int64_t K, const Epilogue& e) {
+  gemm_pair_epi_scalar(A, Pair16Load{Bp, packed_n(N)}, M, N, K, e);
+}
+
+void gemm_s16p16_epi_scalar(const int16_t* A, const int16_t* Bp, int64_t M, int64_t N,
+                            int64_t K, const Epilogue& e) {
+  gemm_pair_epi_scalar(A, Pair16Load{Bp, packed_n(N)}, M, N, K, e);
+}
+
 void gemm_s8n4_epi_scalar(const int8_t* A, const uint8_t* Bn, int64_t M, int64_t N,
                           int64_t K, const Epilogue& e) {
-  gemm_nib4_epi_scalar(A, Bn, M, N, K, e);
+  gemm_pair_epi_scalar(A, Nib4Load{Bn, packed_n(N)}, M, N, K, e);
 }
 
 void gemm_s16n4_epi_scalar(const int16_t* A, const uint8_t* Bn, int64_t M, int64_t N,
                            int64_t K, const Epilogue& e) {
-  gemm_nib4_epi_scalar(A, Bn, M, N, K, e);
+  gemm_pair_epi_scalar(A, Nib4Load{Bn, packed_n(N)}, M, N, K, e);
 }
 
 template <typename XT>
@@ -430,13 +376,8 @@ const KernelSet* pick_from_env() {
 
 const KernelSet& scalar_kernels() {
   static const KernelSet ks{"scalar",
-                            gemm_s8_scalar,
-                            depthwise_s8_scalar,
-                            nullptr,
-                            nullptr,
-                            gemm_s8_epi_scalar,
-                            nullptr,
-                            nullptr,
+                            gemm_s8p16_epi_scalar,
+                            gemm_s16p16_epi_scalar,
                             depthwise_s8_epi_scalar,
                             depthwise_s16_epi_scalar,
                             conv_s8blk_epi_scalar,

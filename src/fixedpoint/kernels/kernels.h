@@ -2,11 +2,14 @@
 //
 // The hot instructions of a compiled program — Conv2d (as im2col + GEMM),
 // Dense (GEMM directly; activations are already the [M, K] A operand) and
-// DepthwiseConv2d — dispatch through one KernelSet. The contract is pure
-// integer arithmetic with no saturation: the memory plan (plan.h) proves the
-// int32 accumulators cannot overflow, so every implementation — scalar,
-// AVX2, a future NEON — produces bit-identical results and variants can slot
-// in behind the same function pointers.
+// DepthwiseConv2d, fused or not — dispatch through one KernelSet. Every entry
+// point retires its accumulators through an epilogue step list (bias,
+// requant, activation); an unfused matmul runs the same kernel with an empty
+// list and an int32 output. The contract is pure integer arithmetic with no
+// saturation: the memory plan (plan.h) proves the int32 accumulators cannot
+// overflow, so every implementation — scalar, AVX2, a future NEON — produces
+// bit-identical results and variants can slot in behind the same function
+// pointers.
 //
 // Kernels parallelize internally over output rows via runtime/parallel.h;
 // integer accumulation is exact, so chunking never changes results.
@@ -27,20 +30,21 @@
 namespace tqt::fpk {
 
 // ---- Algo selection (registry v2) ----------------------------------------
-// A KernelSet no longer implies one fixed code path per op: each fused matmul
+// A KernelSet does not imply one fixed code path per op: each matmul
 // instruction executes under an Algo chosen per (op, widths, shape, batch) —
 // statically by the resolver's heuristics, or measured by the autotuner
 // (autotune.h). Every algo computes bit-identical results (integer
 // accumulation is exact and the plan proves int32 safety), so selection is
 // purely a performance decision.
 
-/// Candidate execution strategies for a fused matmul instruction. Order
-/// matters: the autotuner breaks timing ties toward the lower enum value.
+/// Execution strategies for a matmul instruction. Order matters: the
+/// autotuner breaks timing ties toward the lower enum value. Values are
+/// persisted in tuning sidecars, so retired entries keep their slot.
 enum class Algo : uint8_t {
   kAuto = 0,     ///< not yet resolved — use the static heuristic
   kGemmPacked,   ///< im2col + pair-packed-B GEMM (gemm_s8p16_epi / s16)
-  kGemmRaw,      ///< im2col + raw-B fused GEMM (gemm_s8_epi)
-  kDwDirect,     ///< direct fused depthwise (depthwise_s8_epi / s16)
+  kGemmRaw,      ///< retired (raw-int8-B GEMM); a persisted pick gets the static pick
+  kDwDirect,     ///< direct depthwise (depthwise_s8_epi / s16)
   kBlocked,      ///< NC8HW8 channel-blocked direct conv / depthwise
   kGeneric,      ///< executor's int64-accumulator fallback
   // Appended after kGeneric so persisted sidecar winners keep their values.
@@ -50,6 +54,9 @@ enum class Algo : uint8_t {
 /// Highest valid Algo value (sidecar winner range checks).
 constexpr Algo kAlgoMax = Algo::kGemmS4;
 
+/// Display name for --explain-kernels rows and trace span args. Only
+/// resolved algos reach those; "gemm-raw" names the retired value so a
+/// sidecar that persisted it still prints legibly.
 const char* algo_name(Algo a);
 
 // ---- Channel-blocked int8 layout (NC8HW8) ---------------------------------
@@ -164,38 +171,11 @@ inline void epi_store(const Epilogue& e, int64_t idx, int64_t v) {
   }
 }
 
-/// C[M,N] (int32, caller-zeroed) += A[M,K] * B[K,N]; all row-major int8.
-using GemmS8Fn = void (*)(const int8_t* A, const int8_t* B, int32_t* C, int64_t M,
-                          int64_t N, int64_t K);
-
-/// C[M,N] (int32) = A[M,K] * B[K,N], OVERWRITING C (no caller zeroing — the
-/// kernel covers all of K in one pass). B is pre-packed by pack_b_pair16():
-/// consecutive K rows interleaved column-wise as int16 pairs over a column
-/// stride of packed_n(N) — N rounded up to a whole 8-lane vector, extra
-/// columns zero — i.e. Bp[(kp*packed_n(N) + n)*2 + d] = B[2*kp + d][n]
-/// (zero-padded when K is odd). The pairing feeds two multiply-accumulates
-/// per 32-bit lane (e.g. AVX2 vpmaddwd), and the padded stride lets every
-/// column group run vector-width with a masked store on the last partial
-/// group. Packing happens once per program because B is a weight constant.
-/// A must be followed by at least 32 readable bytes of slack (ExecContext
-/// pads its arena): implementations scan A rows for nonzero runs in whole
-/// 16-byte blocks.
-using GemmS8P16Fn = void (*)(const int8_t* A, const int16_t* Bp, int32_t* C, int64_t M,
-                             int64_t N, int64_t K);
-
-/// Same contract with an int16 A operand (the plan keeps many conv inputs at
-/// int16 — e.g. pre-requant residual sums). Exactness holds unchanged: a
-/// vpmaddwd pair sum is bounded by 2 * 2^15 * 2^7 < 2^23, and the plan only
-/// narrows the output register to int32 when the full |x| * sum|w| bound —
-/// which also dominates every partial sum — fits it.
-using GemmS16P16Fn = void (*)(const int16_t* A, const int16_t* Bp, int32_t* C, int64_t M,
-                              int64_t N, int64_t K);
-
 /// Column stride of the packed layout: N rounded up to a multiple of 8.
 inline int64_t packed_n(int64_t N) { return (N + 7) & ~int64_t{7}; }
 
 /// Pack a row-major int8 [K, N] B operand into the k-pair-interleaved int16
-/// layout consumed by GemmS8P16Fn.
+/// layout consumed by GemmS8P16EpiFn.
 std::vector<int16_t> pack_b_pair16(const int8_t* B, int64_t K, int64_t N);
 
 /// Pack a row-major [K, N] B operand whose values all fit int4 ([-8, 7])
@@ -223,27 +203,33 @@ struct DepthwiseArgs {
   Conv2dGeom geom;
 };
 
-/// y[n,oh,ow,c] (int32, need not be pre-zeroed) = depthwise conv of int8 x.
-using DepthwiseS8Fn = void (*)(const int8_t* x, const int8_t* w, int32_t* y,
-                               const DepthwiseArgs& a);
-
-// ---- Fused (epilogue-retiring) variants -----------------------------------
-// Accumulation is bit-identical to the raw counterparts (same loop bodies
-// behind a store policy); the int32 accumulator tile never reaches memory —
-// it passes through epi_apply and stores narrow into e.y ([M, N] row-major at
-// e.out_bytes). The plan guarantees the accumulator bound fits int32 before
+// ---- Kernel entry points ---------------------------------------------------
+// Every entry point retires its int32 accumulator tile through the epilogue
+// without the tile reaching memory: each lane passes through epi_apply (or its
+// vec32 twin) and stores at e.out_bytes into e.y ([M, N] row-major for the
+// GEMMs). An unfused matmul is the same call with an empty step list and a
+// 4-byte output. The plan guarantees the accumulator bound fits int32 before
 // dispatching here.
 
-/// Fused raw-B GEMM (scalar set): epilogue per column block, C never built.
-using GemmS8EpiFn = void (*)(const int8_t* A, const int8_t* B, int64_t M, int64_t N,
-                             int64_t K, const Epilogue& e);
-
-/// Fused packed-B GEMM (pack_b_pair16 layout, 32-byte A slack — same operand
-/// contract as GemmS8P16Fn).
+/// Packed-B GEMM: y = epilogue(A[M,K] * B[K,N]). B is pre-packed by
+/// pack_b_pair16(): consecutive K rows interleaved column-wise as int16 pairs
+/// over a column stride of packed_n(N) — N rounded up to a whole 8-lane
+/// vector, extra columns zero — i.e. Bp[(kp*packed_n(N) + n)*2 + d] =
+/// B[2*kp + d][n] (zero-padded when K is odd). The pairing feeds two
+/// multiply-accumulates per 32-bit lane (e.g. AVX2 vpmaddwd), and the padded
+/// stride lets every column group run vector-width; padding columns are never
+/// stored. Packing happens once per program because B is a weight constant.
+/// A must be followed by at least 32 readable bytes of slack (ExecContext
+/// pads its arena): implementations scan A rows for nonzero pairs in whole
+/// 8-pair blocks.
 using GemmS8P16EpiFn = void (*)(const int8_t* A, const int16_t* Bp, int64_t M,
                                 int64_t N, int64_t K, const Epilogue& e);
 
-/// int16-activation variant of the fused packed-B GEMM.
+/// Same contract with an int16 A operand (the plan keeps many conv inputs at
+/// int16 — e.g. pre-requant residual sums). Exactness holds unchanged: a
+/// vpmaddwd pair sum is bounded by 2 * 2^15 * 2^7 < 2^23, and the plan only
+/// certifies int32 accumulation when the full |x| * sum|w| bound — which also
+/// dominates every partial sum — fits it.
 using GemmS16P16EpiFn = void (*)(const int16_t* A, const int16_t* Bp, int64_t M,
                                  int64_t N, int64_t K, const Epilogue& e);
 
@@ -275,7 +261,7 @@ using DepthwiseS8BlkEpiFn = void (*)(const int8_t* x, const int8_t* wblk,
 /// kernel sign-extends each nibble pair on the fly and feeds the same
 /// (even, odd) multiply-accumulate as the pair16 path, so results are
 /// bit-identical to every other algo. Same 32-byte A slack contract as
-/// GemmS8P16Fn. The int32-safety bound is the pair16 one verbatim: an
+/// GemmS8P16EpiFn. The int32-safety bound is the pair16 one verbatim: an
 /// unpacked nibble is just an int8 whose magnitude happens to be <= 8.
 using GemmS8N4EpiFn = void (*)(const int8_t* A, const uint8_t* Bn, int64_t M,
                                int64_t N, int64_t K, const Epilogue& e);
@@ -284,32 +270,19 @@ using GemmS8N4EpiFn = void (*)(const int8_t* A, const uint8_t* Bn, int64_t M,
 using GemmS16N4EpiFn = void (*)(const int16_t* A, const uint8_t* Bn, int64_t M,
                                 int64_t N, int64_t K, const Epilogue& e);
 
+/// One implementation of every kernel entry point. Both compiled-in sets fill
+/// all entries, so any resolved Algo has a kernel in either set and a
+/// persisted selection never degrades silently.
 struct KernelSet {
   const char* name = "?";
-  GemmS8Fn gemm_s8s8s32 = nullptr;
-  DepthwiseS8Fn depthwise_s8s8s32 = nullptr;
-  /// Optional packed-B GEMM; null means the set only takes raw int8 B. The
-  /// executor prefers this entry point when the plan carries a packed copy.
-  GemmS8P16Fn gemm_s8p16s32 = nullptr;
-  /// Optional int16-activation variant of the packed-B GEMM.
-  GemmS16P16Fn gemm_s16p16s32 = nullptr;
-  /// Fused variants; any null entry sends that shape to the executor's
-  /// generic int64-accumulator fallback.
-  GemmS8EpiFn gemm_s8_epi = nullptr;
   GemmS8P16EpiFn gemm_s8p16_epi = nullptr;
   GemmS16P16EpiFn gemm_s16p16_epi = nullptr;
   DepthwiseS8EpiFn depthwise_s8_epi = nullptr;
   DepthwiseS16EpiFn depthwise_s16_epi = nullptr;
-  /// Channel-blocked candidates (Algo::kBlocked). Appended after the v1
-  /// entries so aggregate initializers of the older fields stay valid. Both
-  /// compiled-in sets register these (the scalar versions back the AVX2 set's
-  /// contract on any future set without them), so a persisted kBlocked
-  /// selection never degrades silently.
+  /// Channel-blocked candidates (Algo::kBlocked).
   ConvS8BlkEpiFn conv_s8blk_epi = nullptr;
   DepthwiseS8BlkEpiFn depthwise_s8blk_epi = nullptr;
-  /// Sub-byte candidates (Algo::kGemmS4), appended after the blocked entries
-  /// for the same aggregate-initializer stability reason. Null entries simply
-  /// drop kGemmS4 from that set's candidate list.
+  /// Sub-byte candidates (Algo::kGemmS4).
   GemmS8N4EpiFn gemm_s8n4_epi = nullptr;
   GemmS16N4EpiFn gemm_s16n4_epi = nullptr;
 };

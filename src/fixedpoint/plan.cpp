@@ -203,8 +203,8 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
     Interval out;
     IntWidth min_width = IntWidth::kI8;
     // Matmul-family accumulator bound max_o(sum_k |w[k][o]|) * max|x|; stays
-    // 0 for other kinds. For fused kinds this bounds the PRE-epilogue value
-    // and certifies int32 in-register accumulation (acc_ok32 below).
+    // 0 for other kinds. It bounds the PRE-epilogue value and certifies int32
+    // in-register accumulation (acc_ok32 below).
     int64_t acc_bound = 0;
     if (is_matmul_kind(in.kind)) {
       acc_bound =
@@ -393,184 +393,184 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
           break;  // read from instr.const_data directly
       }
 
-      // ---- Lower the fused epilogue to executable steps ----------------
+      // ---- Lower the epilogue to executable steps -------------------------
       // Requant shifts resolve against the static exponent replay, exactly
-      // as the standalone requant executor computes them at run time.
-      if (is_fused_kind(in.kind)) {
-        c.acc_ok32 = acc_bound <= std::numeric_limits<int32_t>::max();
-        int e = in_exp(in) + in.const_exponent;
-        bool chan_pending = !in.chan_data.empty();
-        for (int s = 0; s < epi_step_count(in); ++s) {
-          const FpEpiStep stp = epi_step(in, s);
-          fpk::EpiStep es;
-          es.op = static_cast<int>(stp.op);
-          switch (static_cast<FpInstr::EpiOp>(stp.op)) {
-            case FpInstr::EpiOp::kRequant:
-              es.shift = static_cast<int>(stp.a) - e;
-              if (chan_pending) {
-                // First requant after a per-channel accumulator: lane c sits
-                // delta[c] above the base exponent e, so its rescale
-                // distance shrinks by delta[c].
-                es.per_channel = true;
-                c.chan_shifts.resize(in.chan_data.size());
-                for (size_t ci = 0; ci < in.chan_data.size(); ++ci) {
-                  c.chan_shifts[ci] = es.shift - static_cast<int>(in.chan_data[ci]);
-                }
-                chan_pending = false;
+      // as the standalone requant executor computes them at run time. An
+      // unfused matmul lowers to an empty step list: the kernels then store
+      // the raw accumulator into its int32-floor register.
+      c.acc_ok32 = acc_bound <= std::numeric_limits<int32_t>::max();
+      int e = in_exp(in) + in.const_exponent;
+      bool chan_pending = !in.chan_data.empty();
+      for (int s = 0; s < epi_step_count(in); ++s) {
+        const FpEpiStep stp = epi_step(in, s);
+        fpk::EpiStep es;
+        es.op = static_cast<int>(stp.op);
+        switch (static_cast<FpInstr::EpiOp>(stp.op)) {
+          case FpInstr::EpiOp::kRequant:
+            es.shift = static_cast<int>(stp.a) - e;
+            if (chan_pending) {
+              // First requant after a per-channel accumulator: lane c sits
+              // delta[c] above the base exponent e, so its rescale
+              // distance shrinks by delta[c].
+              es.per_channel = true;
+              c.chan_shifts.resize(in.chan_data.size());
+              for (size_t ci = 0; ci < in.chan_data.size(); ++ci) {
+                c.chan_shifts[ci] = es.shift - static_cast<int>(in.chan_data[ci]);
               }
-              es.lo = stp.b;
-              es.hi = stp.c;
-              e = static_cast<int>(stp.a);
-              break;
-            case FpInstr::EpiOp::kClamp:
-              es.lo = stp.b;
-              es.hi = stp.c;
-              break;
-            case FpInstr::EpiOp::kLeaky: {
-              // Reduce (alpha_q, lift) by their common power-of-two factor
-              // 2^t when a later requant absorbs it. Both branches of
-              // max(x << lift, x * alpha_q) are multiples of 2^t, so the
-              // reduced step yields exactly value / 2^t; a relu in between
-              // commutes with the scaling, and the requant's
-              // round-half-to-even shift (shrunk by t through the exponent
-              // replay) sees identical quotient, remainder comparison and
-              // parity — so the final stored values are bit-identical.
-              // Without the reduction, lifts like 17 on an int16-range input
-              // blow the int32 proof and push the whole chain to the scalar
-              // epilogue.
-              int lift = static_cast<int>(-stp.a);
-              const int64_t aq = stp.b;
-              int t = lift;
-              if (aq != 0) {
-                t = 0;
-                while (t < lift && ((aq >> t) & 1) == 0) ++t;
-              }
-              if (t > 0) {
-                bool absorbed = false;
-                for (int s2 = s + 1; s2 < epi_step_count(in); ++s2) {
-                  const auto op2 = static_cast<FpInstr::EpiOp>(epi_step(in, s2).op);
-                  if (op2 == FpInstr::EpiOp::kRelu) continue;
-                  absorbed = op2 == FpInstr::EpiOp::kRequant;
-                  break;
-                }
-                if (!absorbed) t = 0;
-              }
-              es.lift = lift - t;
-              es.alpha_q = aq >> t;
-              e += static_cast<int>(stp.a) + t;
-              break;
+              chan_pending = false;
             }
-            case FpInstr::EpiOp::kBias:
-            case FpInstr::EpiOp::kRelu:
-              break;
+            es.lo = stp.b;
+            es.hi = stp.c;
+            e = static_cast<int>(stp.a);
+            break;
+          case FpInstr::EpiOp::kClamp:
+            es.lo = stp.b;
+            es.hi = stp.c;
+            break;
+          case FpInstr::EpiOp::kLeaky: {
+            // Reduce (alpha_q, lift) by their common power-of-two factor
+            // 2^t when a later requant absorbs it. Both branches of
+            // max(x << lift, x * alpha_q) are multiples of 2^t, so the
+            // reduced step yields exactly value / 2^t; a relu in between
+            // commutes with the scaling, and the requant's
+            // round-half-to-even shift (shrunk by t through the exponent
+            // replay) sees identical quotient, remainder comparison and
+            // parity — so the final stored values are bit-identical.
+            // Without the reduction, lifts like 17 on an int16-range input
+            // blow the int32 proof and push the whole chain to the scalar
+            // epilogue.
+            int lift = static_cast<int>(-stp.a);
+            const int64_t aq = stp.b;
+            int t = lift;
+            if (aq != 0) {
+              t = 0;
+              while (t < lift && ((aq >> t) & 1) == 0) ++t;
+            }
+            if (t > 0) {
+              bool absorbed = false;
+              for (int s2 = s + 1; s2 < epi_step_count(in); ++s2) {
+                const auto op2 = static_cast<FpInstr::EpiOp>(epi_step(in, s2).op);
+                if (op2 == FpInstr::EpiOp::kRelu) continue;
+                absorbed = op2 == FpInstr::EpiOp::kRequant;
+                break;
+              }
+              if (!absorbed) t = 0;
+            }
+            es.lift = lift - t;
+            es.alpha_q = aq >> t;
+            e += static_cast<int>(stp.a) + t;
+            break;
           }
-          c.epi.push_back(es);
+          case FpInstr::EpiOp::kBias:
+          case FpInstr::EpiOp::kRelu:
+            break;
         }
+        c.epi.push_back(es);
+      }
 
-        // ---- Compose clamp-family steps ---------------------------------
-        // A relu (= clamp to [0, +inf)) or clamp directly after a requant or
-        // another clamp folds into the earlier step's saturation bounds:
-        // clamp(clamp(x, l1, h1), l2, h2) == clamp(x, clamp(l1, l2, h2),
-        // clamp(h1, l2, h2)) for every x (both sides are nondecreasing,
-        // piecewise-identity, with the same range). The retire loop then runs
-        // one fewer per-lane step — the requant's existing min/max absorbs
-        // the activation for free.
-        {
-          size_t w = 0;
-          for (size_t r = 0; r < c.epi.size(); ++r) {
-            const auto op = static_cast<FpInstr::EpiOp>(c.epi[r].op);
-            if (w > 0 &&
-                (op == FpInstr::EpiOp::kRelu || op == FpInstr::EpiOp::kClamp)) {
-              fpk::EpiStep& prev = c.epi[w - 1];
-              const auto pop = static_cast<FpInstr::EpiOp>(prev.op);
-              if (pop == FpInstr::EpiOp::kRequant ||
-                  pop == FpInstr::EpiOp::kClamp) {
-                const int64_t l2 = op == FpInstr::EpiOp::kRelu ? 0 : c.epi[r].lo;
-                const int64_t h2 = op == FpInstr::EpiOp::kRelu
-                                       ? std::numeric_limits<int64_t>::max()
-                                       : c.epi[r].hi;
-                prev.lo = fp::saturate(prev.lo, l2, h2);
-                prev.hi = fp::saturate(prev.hi, l2, h2);
-                continue;
-              }
+      // ---- Compose clamp-family steps ---------------------------------
+      // A relu (= clamp to [0, +inf)) or clamp directly after a requant or
+      // another clamp folds into the earlier step's saturation bounds:
+      // clamp(clamp(x, l1, h1), l2, h2) == clamp(x, clamp(l1, l2, h2),
+      // clamp(h1, l2, h2)) for every x (both sides are nondecreasing,
+      // piecewise-identity, with the same range). The retire loop then runs
+      // one fewer per-lane step — the requant's existing min/max absorbs
+      // the activation for free.
+      {
+        size_t w = 0;
+        for (size_t r = 0; r < c.epi.size(); ++r) {
+          const auto op = static_cast<FpInstr::EpiOp>(c.epi[r].op);
+          if (w > 0 &&
+              (op == FpInstr::EpiOp::kRelu || op == FpInstr::EpiOp::kClamp)) {
+            fpk::EpiStep& prev = c.epi[w - 1];
+            const auto pop = static_cast<FpInstr::EpiOp>(prev.op);
+            if (pop == FpInstr::EpiOp::kRequant ||
+                pop == FpInstr::EpiOp::kClamp) {
+              const int64_t l2 = op == FpInstr::EpiOp::kRelu ? 0 : c.epi[r].lo;
+              const int64_t h2 = op == FpInstr::EpiOp::kRelu
+                                     ? std::numeric_limits<int64_t>::max()
+                                     : c.epi[r].hi;
+              prev.lo = fp::saturate(prev.lo, l2, h2);
+              prev.hi = fp::saturate(prev.hi, l2, h2);
+              continue;
             }
-            c.epi[w++] = c.epi[r];
           }
-          c.epi.resize(w);
+          c.epi[w++] = c.epi[r];
         }
+        c.epi.resize(w);
+      }
 
-        // ---- Prove the epilogue int32-safe for SIMD lanes --------------
-        // Replay the value interval through the LOWERED steps: if every
-        // intermediate (bias sums, pre-clamp left shifts, leaky branches)
-        // provably fits int32 and every shift stays under 31 bits, the
-        // vector kernels can run the whole step list in 32-bit lanes and
-        // stay bit-identical to the int64 epi_apply.
-        constexpr int64_t kI32Lo = std::numeric_limits<int32_t>::min();
-        constexpr int64_t kI32Hi = std::numeric_limits<int32_t>::max();
-        const auto fits32 = [&](int64_t lo, int64_t hi) {
-          return lo >= kI32Lo && hi <= kI32Hi;
-        };
-        // Per-channel epilogues always retire through the scalar epi_apply
-        // (which indexes chan_shift); the 32-bit vector path only knows one
-        // shift per step.
-        bool vec32 = c.acc_ok32 && in.chan_data.empty();
-        Interval cur{sat_mul(acc_bound, -1), acc_bound};
-        int64_t bmin = 0, bmax = 0;
-        if (!in.bias_data.empty()) {
-          const auto [mn, mx] =
-              std::minmax_element(in.bias_data.begin(), in.bias_data.end());
-          bmin = *mn;
-          bmax = *mx;
-        }
-        for (const fpk::EpiStep& es : c.epi) {
-          switch (static_cast<FpInstr::EpiOp>(es.op)) {
-            case FpInstr::EpiOp::kRequant:
-              vec32 = vec32 && es.shift > -31 && es.shift < 31;
-              if (es.shift < 0) {
-                vec32 = vec32 && fits32(sat_shl(cur.lo, -es.shift),
-                                        sat_shl(cur.hi, -es.shift));
-              } else if (es.shift > 0) {
-                // The vector kernels round via v + (half - 1 + floor-LSB),
-                // then one arithmetic shift — the sum needs v + half of
-                // int32 headroom.
-                vec32 = vec32 &&
-                        fits32(cur.lo, sat_add(cur.hi, int64_t{1}
-                                                           << (es.shift - 1)));
-              }
-              cur = {es.lo, es.hi};
-              break;
-            case FpInstr::EpiOp::kBias:
-              vec32 = vec32 && fits32(bmin, bmax);
-              cur = {sat_add(cur.lo, bmin), sat_add(cur.hi, bmax)};
-              break;
-            case FpInstr::EpiOp::kRelu:
-              cur = {std::max<int64_t>(cur.lo, 0), std::max<int64_t>(cur.hi, 0)};
-              break;
-            case FpInstr::EpiOp::kClamp:
-              cur = {fp::saturate(cur.lo, es.lo, es.hi),
-                     fp::saturate(cur.hi, es.lo, es.hi)};
-              break;
-            case FpInstr::EpiOp::kLeaky: {
-              vec32 = vec32 && es.lift < 31 && fits32(es.alpha_q, es.alpha_q) &&
-                      fits32(sat_shl(cur.lo, es.lift), sat_shl(cur.hi, es.lift)) &&
-                      fits32(std::min(sat_mul(cur.lo, es.alpha_q),
-                                      sat_mul(cur.hi, es.alpha_q)),
-                             std::max(sat_mul(cur.lo, es.alpha_q),
-                                      sat_mul(cur.hi, es.alpha_q)));
-              const auto f = [&](int64_t x) {
-                return std::max(sat_shl(x, es.lift), sat_mul(x, es.alpha_q));
-              };
-              cur = {f(cur.lo), f(cur.hi)};
-              break;
+      // ---- Prove the epilogue int32-safe for SIMD lanes --------------
+      // Replay the value interval through the LOWERED steps: if every
+      // intermediate (bias sums, pre-clamp left shifts, leaky branches)
+      // provably fits int32 and every shift stays under 31 bits, the
+      // vector kernels can run the whole step list in 32-bit lanes and
+      // stay bit-identical to the int64 epi_apply.
+      constexpr int64_t kI32Lo = std::numeric_limits<int32_t>::min();
+      constexpr int64_t kI32Hi = std::numeric_limits<int32_t>::max();
+      const auto fits32 = [&](int64_t lo, int64_t hi) {
+        return lo >= kI32Lo && hi <= kI32Hi;
+      };
+      // Per-channel epilogues always retire through the scalar epi_apply
+      // (which indexes chan_shift); the 32-bit vector path only knows one
+      // shift per step. An empty list has no step to index.
+      bool vec32 = c.acc_ok32 && (in.chan_data.empty() || c.epi.empty());
+      Interval cur{sat_mul(acc_bound, -1), acc_bound};
+      int64_t bmin = 0, bmax = 0;
+      if (!in.bias_data.empty()) {
+        const auto [mn, mx] =
+            std::minmax_element(in.bias_data.begin(), in.bias_data.end());
+        bmin = *mn;
+        bmax = *mx;
+      }
+      for (const fpk::EpiStep& es : c.epi) {
+        switch (static_cast<FpInstr::EpiOp>(es.op)) {
+          case FpInstr::EpiOp::kRequant:
+            vec32 = vec32 && es.shift > -31 && es.shift < 31;
+            if (es.shift < 0) {
+              vec32 = vec32 && fits32(sat_shl(cur.lo, -es.shift),
+                                      sat_shl(cur.hi, -es.shift));
+            } else if (es.shift > 0) {
+              // The vector kernels round via v + (half - 1 + floor-LSB),
+              // then one arithmetic shift — the sum needs v + half of
+              // int32 headroom.
+              vec32 = vec32 &&
+                      fits32(cur.lo, sat_add(cur.hi, int64_t{1}
+                                                         << (es.shift - 1)));
             }
+            cur = {es.lo, es.hi};
+            break;
+          case FpInstr::EpiOp::kBias:
+            vec32 = vec32 && fits32(bmin, bmax);
+            cur = {sat_add(cur.lo, bmin), sat_add(cur.hi, bmax)};
+            break;
+          case FpInstr::EpiOp::kRelu:
+            cur = {std::max<int64_t>(cur.lo, 0), std::max<int64_t>(cur.hi, 0)};
+            break;
+          case FpInstr::EpiOp::kClamp:
+            cur = {fp::saturate(cur.lo, es.lo, es.hi),
+                   fp::saturate(cur.hi, es.lo, es.hi)};
+            break;
+          case FpInstr::EpiOp::kLeaky: {
+            vec32 = vec32 && es.lift < 31 && fits32(es.alpha_q, es.alpha_q) &&
+                    fits32(sat_shl(cur.lo, es.lift), sat_shl(cur.hi, es.lift)) &&
+                    fits32(std::min(sat_mul(cur.lo, es.alpha_q),
+                                    sat_mul(cur.hi, es.alpha_q)),
+                           std::max(sat_mul(cur.lo, es.alpha_q),
+                                    sat_mul(cur.hi, es.alpha_q)));
+            const auto f = [&](int64_t x) {
+              return std::max(sat_shl(x, es.lift), sat_mul(x, es.alpha_q));
+            };
+            cur = {f(cur.lo), f(cur.hi)};
+            break;
           }
-          vec32 = vec32 && fits32(cur.lo, cur.hi);
         }
-        c.epi_vec32 = vec32;
-        if (vec32 && !in.bias_data.empty()) {
-          c.bias32.assign(in.bias_data.begin(), in.bias_data.end());
-          c.bias32.resize(in.bias_data.size() + 8, 0);  // vector-load slack
-        }
+        vec32 = vec32 && fits32(cur.lo, cur.hi);
+      }
+      c.epi_vec32 = vec32;
+      if (vec32 && !in.bias_data.empty()) {
+        c.bias32.assign(in.bias_data.begin(), in.bias_data.end());
+        c.bias32.resize(in.bias_data.size() + 8, 0);  // vector-load slack
       }
     }
   }
@@ -879,7 +879,12 @@ void FixedPointProgram::finalize() {
     }
     st.arena_bytes_after =
         estimate_arena_bytes(instrs_, n_registers, input_register, output_register);
-
+  }
+  // Count the stream, not this call's rewrites: a loaded program arrives
+  // already fused, and running fusion over it again rewrites nothing.
+  st.fused_matmuls = static_cast<int>(std::count_if(
+      instrs_.begin(), instrs_.end(), [](const FpInstr& in) { return is_fused_kind(in.kind); }));
+  if (fusion_enabled()) {
     auto& m = observe::MetricsRegistry::global();
     m.gauge("engine.fusion.instrs_before").set(st.instrs_before);
     m.gauge("engine.fusion.instrs_after").set(st.instrs_after);

@@ -46,14 +46,14 @@ struct ExecPlan {
     std::vector<int16_t> i16;
     std::vector<int32_t> i32;
     /// pack_b_pair16() copy of an int8 conv/dense weight (the GEMM B
-    /// operand), consumed by kernel sets exposing gemm_s8p16s32.
+    /// operand of Algo::kGemmPacked).
     std::vector<int16_t> b_pair16;
-    /// Fused kinds: the epilogue lowered to executable steps (requant shifts
-    /// resolved against the static exponent replay).
+    /// Matmul kinds: the epilogue lowered to executable steps (requant shifts
+    /// resolved against the static exponent replay); empty when unfused.
     std::vector<fpk::EpiStep> epi;
-    /// Fused kinds: true when the accumulator bound provably fits int32, so
-    /// the narrow GEMM kernels may retire the tile directly; false routes
-    /// the instruction to the executor's generic int64 fallback.
+    /// Matmul kinds: true when the accumulator bound provably fits int32, so
+    /// the narrow kernels may retire the tile directly; false routes the
+    /// instruction to the executor's generic int64 fallback.
     bool acc_ok32 = false;
     /// True when every intermediate epilogue value also fits int32 — the
     /// interval replay below proves it — so SIMD kernels may run the step

@@ -310,10 +310,64 @@ TEST(TuneSidecar, ArtifactRoundTripAndStaleFallback) {
   std::remove(sidecar.c_str());
 }
 
+// kGemmRaw is retired but keeps its enum value: a sidecar that persisted it
+// as a winner still loads, the instructions it names run the packed GEMM,
+// and the output stays bit-exact.
+TEST(TuneSidecar, RetiredRawGemmWinnerRunsPacked) {
+  TuneScope scope(1);
+  Prepared p = prepare(ModelKind::kMiniVgg);
+  FixedPointProgram prog = compile(p);
+  ASSERT_NE(prog.tuning(), nullptr);
+  const std::string path = temp_path("retired_raw.tqtp");
+  const std::string sidecar = path + ".tqt.tune";
+  prog.save(path);
+
+  // Rewrite every GEMM entry's winner to kGemmRaw; zero t_blk so no blocked
+  // chain overrides the standard pick.
+  std::vector<std::pair<std::string, autotune::TuneEntry>> entries;
+  ASSERT_TRUE(autotune::load_sidecar(sidecar, prog.tuning()->program_hash,
+                                     autotune::cpu_feature_hash(), entries));
+  autotune::ProgramTuning raw;
+  raw.program_hash = prog.tuning()->program_hash;
+  int raw_entries = 0;
+  for (auto& [key, e] : entries) {
+    if (key.rfind("dw|", 0) != 0) {
+      e.winner = static_cast<int32_t>(fpk::Algo::kGemmRaw);
+      ++raw_entries;
+    }
+    e.t_blk = 0;
+    raw.entries.emplace_back(key, e);
+  }
+  ASSERT_GT(raw_entries, 0);
+  ASSERT_TRUE(autotune::save_sidecar(sidecar, raw));
+
+  autotune::reset_for_test();
+  autotune::set_mode(1);
+  FixedPointProgram back = FixedPointProgram::load(path);
+  ASSERT_NE(back.tuning(), nullptr);
+  EXPECT_TRUE(back.tuning()->from_sidecar);
+  int raw_picks = 0;
+  for (size_t i = 0; i < back.tuning()->algos.size(); ++i) {
+    raw_picks += back.tuning()->algos[i] == fpk::Algo::kGemmRaw;
+  }
+  EXPECT_GT(raw_picks, 0) << "the sidecar's kGemmRaw winners were not adopted";
+  int packed_tuned = 0;
+  for (const auto& row : autotune::explain_kernels(back)) {
+    EXPECT_NE(row.algo, fpk::algo_name(fpk::Algo::kGemmRaw)) << row.name;
+    packed_tuned += row.tuned && row.algo == fpk::algo_name(fpk::Algo::kGemmPacked);
+  }
+  EXPECT_EQ(packed_tuned, raw_picks);
+  Rng rng(82);
+  const Tensor probe = rng.normal_tensor({2, 16, 16, 3}, 0.2f, 1.2f);
+  expect_raw_equal(back.run_raw(probe), prog.run_raw_reference(probe), "retired raw winner");
+  std::remove(path.c_str());
+  std::remove(sidecar.c_str());
+}
+
 // ---- Hot-swap soak -----------------------------------------------------------
 
 // Two artifacts of the SAME canonical program carrying DIFFERENT tunings
-// (v1: forced raw GEMM, v2: forced blocked layout) hot-swap under concurrent
+// (v1: forced packed GEMM, v2: forced blocked layout) hot-swap under concurrent
 // execution; every reader sees bit-exact results throughout because tuning
 // never changes values, only kernels. Run under TSan in verify.sh.
 TEST(TuneHotSwap, SoakAcrossDifferentlyTunedVersions) {
@@ -322,7 +376,7 @@ TEST(TuneHotSwap, SoakAcrossDifferentlyTunedVersions) {
   const std::string v1 = temp_path("swap_v1.tqtp");
   const std::string v2 = temp_path("swap_v2.tqtp");
   {
-    TuneScope scope(1, static_cast<int>(fpk::Algo::kGemmRaw));
+    TuneScope scope(1, static_cast<int>(fpk::Algo::kGemmPacked));
     prog.refinalize();
     ASSERT_NE(prog.tuning(), nullptr);
     EXPECT_EQ(prog.tuning()->blocked_instrs, 0);

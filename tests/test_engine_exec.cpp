@@ -12,7 +12,9 @@
 #include <new>
 #include <string>
 
+#include "fixedpoint/autotune.h"
 #include "fixedpoint/engine.h"
+#include "fixedpoint/fuse.h"
 #include "fixedpoint/kernels/kernels.h"
 #include "fixedpoint/plan.h"
 #include "graph_opt/quantize_pass.h"
@@ -148,6 +150,40 @@ TEST_P(TypedEngine, PlanNarrowsWidthsAndReusesSlots) {
     }
   }
   EXPECT_GT(i8_regs, 0) << "no int8 activation registers — widths are not narrowing";
+}
+
+// An unfused matmul runs the fused kernels with an empty epilogue that stores
+// the int32 accumulator. Every zoo model compiled with fusion off must match
+// the int64 reference on both kernel sets; batch 3 gives the dense layers an
+// odd M, so the GEMM's 1-row tile retires the last row.
+TEST_P(TypedEngine, UnfusedProgramMatchesReferenceOnBothKernelSets) {
+  Prepared p = prepare(GetParam());
+  set_fusion_enabled(0);
+  const FixedPointProgram prog = compile(p);
+  set_fusion_enabled(-1);
+  ASSERT_EQ(prog.fusion_stats().fused_matmuls, 0);
+  int kernel_matmuls = 0;
+  for (const auto& row : autotune::explain_kernels(prog)) {
+    kernel_matmuls += row.algo == fpk::algo_name(fpk::Algo::kGemmPacked) ||
+                      row.algo == fpk::algo_name(fpk::Algo::kDwDirect);
+  }
+  EXPECT_GT(kernel_matmuls, 0) << "no unfused matmul dispatched to a kernel";
+
+  Rng rng(77);
+  const Tensor probe = rng.normal_tensor({3, 16, 16, 3}, 0.2f, 1.2f);
+  const IntTensor ref = prog.run_raw_reference(probe);
+  for (const fpk::KernelSet* ks : {&fpk::scalar_kernels(), fpk::avx2_kernels()}) {
+    if (!ks) continue;
+    fpk::set_active_kernels(ks);
+    for (int threads : {1, 4}) {
+      set_num_threads(threads);
+      expect_raw_equal(prog.run_raw(probe), ref,
+                       model_name(GetParam()) + " unfused " + ks->name + " @" +
+                           std::to_string(threads));
+    }
+  }
+  fpk::set_active_kernels(nullptr);
+  set_num_threads(0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, TypedEngine, ::testing::ValuesIn(all_model_kinds()),

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "fixedpoint/engine.h"
@@ -117,6 +118,24 @@ TEST_P(FusedEngine, ArenaEstimateDoesNotGrow) {
   const FuseStats& st = prog.fusion_stats();
   EXPECT_GT(st.arena_bytes_before, 0);
   EXPECT_LE(st.arena_bytes_after, st.arena_bytes_before) << model_name(GetParam());
+}
+
+// A saved program is already fused, so load() re-runs fusion over a stream
+// with nothing left to rewrite; fusion_stats() and the engine.fusion gauge
+// must still report the fused matmuls the loaded stream carries.
+TEST_P(FusedEngine, FusedMatmulCountSurvivesSaveAndLoad) {
+  Prepared p = prepare(GetParam());
+  const FixedPointProgram prog =
+      compile_fixed_point(p.m.graph, p.m.input, p.qres.quantized_output);
+  const std::string path =
+      ::testing::TempDir() + "/fused_count_" + model_name(GetParam()) + ".tqtp";
+  prog.save(path);
+  const FixedPointProgram back = FixedPointProgram::load(path);
+  std::remove(path.c_str());
+  EXPECT_GT(prog.fusion_stats().fused_matmuls, 0);
+  EXPECT_EQ(back.fusion_stats().fused_matmuls, prog.fusion_stats().fused_matmuls);
+  EXPECT_EQ(observe::MetricsRegistry::global().gauge("engine.fusion.fused_matmuls").value(),
+            prog.fusion_stats().fused_matmuls);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, FusedEngine, ::testing::ValuesIn(all_model_kinds()),

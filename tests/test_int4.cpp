@@ -15,6 +15,7 @@
 
 #include "fixedpoint/autotune.h"
 #include "fixedpoint/engine.h"
+#include "fixedpoint/fuse.h"
 #include "fixedpoint/kernels/kernels.h"
 #include "graph_opt/quantize_pass.h"
 #include "graph_opt/transforms.h"
@@ -207,6 +208,33 @@ TEST(S4Engine, PerChannelDefaultDispatchMatchesReference) {
     expect_raw_equal(prog.run_raw(probe), ref,
                      "mini_mobilenet_v2 pc default @" + std::to_string(threads));
   }
+  set_num_threads(0);
+}
+
+// The unfused stream of a per-channel program keeps each matmul's raw
+// accumulator at per-channel exponents until its standalone requant; the
+// shared kernels store it through an empty epilogue on both kernel sets.
+TEST(S4Engine, UnfusedPerChannelMatchesReferenceOnBothKernelSets) {
+  Prepared p = prepare(ModelKind::kMiniMobileNetV1, w4a8(true));
+  set_fusion_enabled(0);
+  const FixedPointProgram prog =
+      compile_fixed_point(p.m.graph, p.m.input, p.qres.quantized_output);
+  set_fusion_enabled(-1);
+  ASSERT_EQ(prog.fusion_stats().fused_matmuls, 0);
+  Rng rng(80);
+  const Tensor probe = rng.normal_tensor({3, 16, 16, 3}, 0.2f, 1.2f);
+  const IntTensor ref = prog.run_raw_reference(probe);
+  for (const fpk::KernelSet* ks : {&fpk::scalar_kernels(), fpk::avx2_kernels()}) {
+    if (!ks) continue;
+    fpk::set_active_kernels(ks);
+    for (int threads : {1, 4}) {
+      set_num_threads(threads);
+      expect_raw_equal(prog.run_raw(probe), ref,
+                       std::string("mini_mobilenet_v1 w4 pc unfused ") + ks->name + " @" +
+                           std::to_string(threads));
+    }
+  }
+  fpk::set_active_kernels(nullptr);
   set_num_threads(0);
 }
 

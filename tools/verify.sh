@@ -103,6 +103,16 @@ for threads in 1 4; do
     --output-on-failure -j "$(nproc)"
 done
 
+# The scalar kernel set's pair walk is its only GEMM, and the default run
+# above exercises the AVX2 set wherever the host has it: re-run the typed,
+# fused, tuned and int4 engine tests with the scalar set forced, at both
+# pool sizes, so every matmul family member runs through the portable body.
+for threads in 1 4; do
+  echo "==== engine tests with TQT_KERNELS=scalar TQT_NUM_THREADS=$threads ===="
+  TQT_KERNELS=scalar TQT_NUM_THREADS=$threads ctest --test-dir "$BUILD_DIR" \
+    -R 'TypedEngine|FusedEngine|Tune|S4Engine' --output-on-failure -j "$(nproc)"
+done
+
 # Fail fast on the INT4 sub-byte path: nibble pack/unpack parities, the
 # forced Algo::kGemmS4 candidates' bit-exactness over the zoo (per-tensor and
 # per-channel), serializer v3, the QuantUse bit-width boundaries, and the
