@@ -16,9 +16,18 @@
 // fourth arm re-compiles each model at 4/8 and times the nibble-packed
 // Algo::kGemmS4 kernels against the s8 auto-pick on the same program — an
 // interleaved best-of-blocks pair (`s4_vs_s8`), with its own int64-reference
-// bit-exactness check. The process exits 1 when any model (8/8 or 4/8 pair)
-// is not bit-exact OR when the tuned arm loses to static auto-pick beyond
-// timing noise — the `--smoke` CI gate.
+// bit-exactness check. A fifth arm, run after all the others, compiles each
+// model at 4/8 with per-channel weight scales and times it, on the default
+// dispatch, against the fused 8/8 program (`w4pc_vs_w8`, bit-exactness flag
+// `w4pc_bit_exact`).
+// The process exits 1 when any model (8/8, 4/8 or 4/8 per-channel) is not
+// bit-exact OR when the tuned arm loses to static auto-pick beyond timing
+// noise — the `--smoke` CI gate.
+//
+// Every absolute img/s column comes from the same interleaved pair as the
+// ratio printed next to it, so a row's throughputs and its speedup always
+// agree: `typed_imgs_per_s` and `unfused_imgs_per_s` from the fused/unfused
+// pair, `reference_imgs_per_s` from the unfused/reference pair.
 //
 // --export-dir saves each model's compiled program to DIR/<model>.tqtp —
 // cheap calibration-only artifacts for CLI / trace end-to-end checks.
@@ -113,6 +122,9 @@ struct ModelResult {
   double s4_vs_s8 = 0.0;          // s4 vs the same 4/8 program on the s8 kernels
   int s4_instrs = 0;              // instructions retiring through the s4 GEMM
   bool s4_bit_exact = false;      // 4/8 pair vs its own int64 reference
+  double w4pc_imgs_per_s = 0.0;   // 4/8 per-channel program, default dispatch
+  double w4pc_vs_w8 = 0.0;        // w4pc vs the fused 8/8 program (> 1: w4pc faster)
+  bool w4pc_bit_exact = false;    // 4/8 per-channel vs its own int64 reference
   bool bit_exact = false;
   std::string kernels;
 };
@@ -140,6 +152,9 @@ void write_model(observe::JsonWriter& w, const ModelResult& r) {
   w.kv("s4_vs_s8", r.s4_vs_s8);
   w.kv("s4_instrs", r.s4_instrs);
   w.kv("s4_bit_exact", r.s4_bit_exact);
+  w.kv("w4pc_imgs_per_s", r.w4pc_imgs_per_s);
+  w.kv("w4pc_vs_w8", r.w4pc_vs_w8);
+  w.kv("w4pc_bit_exact", r.w4pc_bit_exact);
   w.kv("kernels", r.kernels);
   w.kv("bit_exact", r.bit_exact);
   w.end();
@@ -193,8 +208,9 @@ int main(int argc, char** argv) {
         [&] { (void)prog.run_reference(input); });
     r.unfused_imgs_per_s = static_cast<double>(batch) / unfused_s;
     r.ref_imgs_per_s = static_cast<double>(batch) / ref_s;
+    r.typed_imgs_per_s = r.unfused_imgs_per_s;
+    r.speedup = ref_s / unfused_s;
 
-    double typed_s = unfused_s;
     if (no_fuse) {
       r.fused_arena_bytes = r.arena_bytes;
       r.fused_speedup = 1.0;
@@ -226,12 +242,12 @@ int main(int argc, char** argv) {
       const auto [unfused2_s, fused_s] = time_best_of_blocks(
           iters, [&] { prog.run_into(input, ctx, out); },
           [&] { fprog.run_into(input, fctx, out); });
-      typed_s = fused_s;
-      // Best observed throughput for the point estimates; the ratio uses the
-      // interleaved pair only, where both arms saw the same windows.
-      r.unfused_imgs_per_s =
-          static_cast<double>(batch) / std::min(unfused_s, unfused2_s);
+      // Both columns and the ratio from this one interleaved pair; the
+      // reference speedup chains it onto the unfused/reference pair.
+      r.unfused_imgs_per_s = static_cast<double>(batch) / unfused2_s;
+      r.typed_imgs_per_s = static_cast<double>(batch) / fused_s;
       r.fused_speedup = unfused2_s / fused_s;
+      r.speedup = (ref_s / unfused_s) * r.fused_speedup;
 
       // C side: the same fused program compiled with the autotuner on. The
       // tuner only swaps which exact kernel retires each fused matmul (and
@@ -296,8 +312,6 @@ int main(int argc, char** argv) {
       r.s4_vs_s8 = s8_s / s4_s;
       r.s4_imgs_per_s = static_cast<double>(batch) / s4_s;
     }
-    r.typed_imgs_per_s = static_cast<double>(batch) / typed_s;
-    r.speedup = (static_cast<double>(batch) / r.ref_imgs_per_s) / typed_s;
 
     const ExecPlan& plan = prog.plan();
     r.slots = plan.n_slots;
@@ -320,6 +334,43 @@ int main(int argc, char** argv) {
                  r.ref_imgs_per_s, r.bit_exact ? "bit-exact" : "MISMATCH");
     results.push_back(std::move(r));
   }
+
+  // E side, in a pass of its own once every model's other arms are timed, so
+  // its extra programs do not change the heap those arms ran on (the fused
+  // timings are sensitive to where their buffers land): the per-channel INT4
+  // program (4/8, per-output-channel weight scales) on the default dispatch —
+  // what a deployed W4 MobileNet runs — against a fresh instance of the fused
+  // 8/8 program, interleaved. Its own int64 reference is the oracle.
+  const std::vector<ModelKind> kinds = all_model_kinds();
+  for (size_t m = 0; m < kinds.size(); ++m) {
+    ModelResult& r = results[m];
+    if (no_fuse) {
+      r.w4pc_vs_w8 = 1.0;  // the arm compares against the fused program
+      r.w4pc_bit_exact = true;
+      continue;
+    }
+    FixedPointProgram w8prog = bench::calibrated_program(kinds[m]);
+    QuantizeConfig pccfg;
+    pccfg.precision.wbits = 4;
+    pccfg.precision.per_channel_weights = true;
+    FixedPointProgram pcprog = bench::calibrated_program(kinds[m], pccfg);
+    const IntTensor pcoracle = pcprog.run_raw_reference(input);
+    const IntTensor pcout = pcprog.run_raw(input);
+    r.w4pc_bit_exact = pcout.shape == pcoracle.shape && pcout.data == pcoracle.data &&
+                       pcout.exponent == pcoracle.exponent;
+
+    ExecContext w8ctx, pcctx;
+    Tensor out;
+    w8prog.run_into(input, w8ctx, out);
+    pcprog.run_into(input, pcctx, out);
+    const auto [w8_s, w4pc_s] = time_best_of_blocks(
+        std::max(iters, 16), [&] { w8prog.run_into(input, w8ctx, out); },
+        [&] { pcprog.run_into(input, pcctx, out); });
+    r.w4pc_vs_w8 = w8_s / w4pc_s;
+    r.w4pc_imgs_per_s = static_cast<double>(batch) / w4pc_s;
+    std::fprintf(stderr, "%-18s w4pc %8.1f img/s  (%.2fx w8)  %s\n", r.name.c_str(),
+                 r.w4pc_imgs_per_s, r.w4pc_vs_w8, r.w4pc_bit_exact ? "bit-exact" : "MISMATCH");
+  }
   set_num_threads(0);  // restore the TQT_NUM_THREADS / hardware default
 
   // Tuned may not lose to static auto-pick: the measure-once tuner only ever
@@ -327,8 +378,8 @@ int main(int argc, char** argv) {
   // floor absorbs wall-clock noise between the two interleaved arms.
   constexpr double kTunedNoiseFloor = 0.98;
   int exact = 0, faster2x = 0, arena_shrunk = 0, tuned_ok = 0, blocked_models = 0;
-  int s4_exact = 0;
-  double log_fused = 0.0, log_tuned = 0.0, log_s4 = 0.0;
+  int s4_exact = 0, w4pc_exact = 0;
+  double log_fused = 0.0, log_tuned = 0.0, log_s4 = 0.0, log_w4pc = 0.0;
   for (const ModelResult& r : results) {
     exact += r.bit_exact ? 1 : 0;
     faster2x += r.speedup >= 2.0 ? 1 : 0;
@@ -336,9 +387,11 @@ int main(int argc, char** argv) {
     tuned_ok += r.tuned_speedup >= kTunedNoiseFloor ? 1 : 0;
     blocked_models += r.blocked_instrs > 0 ? 1 : 0;
     s4_exact += r.s4_bit_exact ? 1 : 0;
+    w4pc_exact += r.w4pc_bit_exact ? 1 : 0;
     log_fused += std::log(r.fused_speedup);
     log_tuned += std::log(r.tuned_speedup);
     log_s4 += std::log(r.s4_vs_s8);
+    log_w4pc += std::log(r.w4pc_vs_w8);
   }
   const double fused_geomean =
       results.empty() ? 1.0 : std::exp(log_fused / static_cast<double>(results.size()));
@@ -346,6 +399,8 @@ int main(int argc, char** argv) {
       results.empty() ? 1.0 : std::exp(log_tuned / static_cast<double>(results.size()));
   const double s4_geomean =
       results.empty() ? 1.0 : std::exp(log_s4 / static_cast<double>(results.size()));
+  const double w4pc_geomean =
+      results.empty() ? 1.0 : std::exp(log_w4pc / static_cast<double>(results.size()));
 
   observe::JsonWriter w;
   w.obj();
@@ -366,6 +421,8 @@ int main(int argc, char** argv) {
   w.kv("models_arena_shrunk", arena_shrunk);
   w.kv("s4_vs_s8_geomean", s4_geomean);
   w.kv("models_s4_bit_exact", s4_exact);
+  w.kv("w4pc_vs_w8_geomean", w4pc_geomean);
+  w.kv("models_w4pc_bit_exact", w4pc_exact);
   w.end();
   bench::emit_report(w.str(), flag_value(argc, argv, "-o", nullptr));
   if (tuned_ok != static_cast<int>(results.size())) {
@@ -376,6 +433,11 @@ int main(int argc, char** argv) {
   if (s4_exact != static_cast<int>(results.size())) {
     std::fprintf(stderr, "FAIL: int4 pair not bit-exact on %d model(s)\n",
                  static_cast<int>(results.size()) - s4_exact);
+    return 1;
+  }
+  if (w4pc_exact != static_cast<int>(results.size())) {
+    std::fprintf(stderr, "FAIL: int4 per-channel program not bit-exact on %d model(s)\n",
+                 static_cast<int>(results.size()) - w4pc_exact);
     return 1;
   }
   return (exact == static_cast<int>(results.size())) ? 0 : 1;

@@ -631,9 +631,15 @@ std::vector<ExplainRow> explain_kernels(const FixedPointProgram& prog) {
       const fpk::Algo planned = i < plan.algos.size() ? plan.algos[i] : fpk::Algo::kAuto;
       row.shape = shape_key(in, plan.consts[i], shapes[static_cast<size_t>(in.inputs[0])],
                             xw, wy);
-      row.algo = fpk::algo_name(
-          detail::resolve_fused_algo(in, plan.consts[i], xw, planned));
+      const fpk::Algo algo = detail::resolve_fused_algo(in, plan.consts[i], xw, planned);
+      row.algo = fpk::algo_name(algo);
       row.tuned = planned != fpk::Algo::kAuto;
+      // Only the SIMD sets read Epilogue::vec32; the scalar set and the
+      // generic fallback walk epi_apply lane by lane.
+      const bool simd = &fpk::active_kernels() != &fpk::scalar_kernels();
+      row.retire = simd && algo != fpk::Algo::kGeneric && plan.consts[i].epi_vec32
+                       ? "vec32"
+                       : "scalar";
     }
     rows.push_back(std::move(row));
   }

@@ -111,6 +111,10 @@ struct ExplainRow {
   std::string shape;  ///< shape-class key (empty for non-tunable kinds)
   std::string algo;   ///< resolved algo name
   bool tuned = false; ///< true when the algo came from a measured selection
+  /// Matmul kinds: how the kernel retires its accumulators under the active
+  /// kernel set — "vec32" (epilogue in 32-bit vector lanes, Epilogue::vec32)
+  /// or "scalar" (the int64 epi_apply walk per lane). Empty otherwise.
+  std::string retire;
 };
 
 /// Per-exec-instruction kernel/algo choices for a finalized program.

@@ -35,7 +35,14 @@ namespace {
 // (EpiVec) rather than per tile: a depthwise pixel retires a tile every ~9
 // multiply-adds, so rebuilding half a dozen set1s per tile would rival the
 // convolution work itself.
+//
+// A per-channel requant runs the same rounding rule lane by lane with the
+// variable shifts (vpsllvd / vpsravd): lane l shifts left by max(-s, 0) and
+// right by max(s, 0), s = chan_shift[j0 + l]; the rounding bias and the
+// floor-LSB mask derive from the right shift in registers.
 struct EpiVec {
+  /// EpiVec-internal op for a per-channel requant (EpiStep ops are 0..4).
+  static constexpr int kChanRequant = 5;
   struct Step {
     int op = 0;
     int shift = 0;
@@ -45,14 +52,16 @@ struct EpiVec {
   Step steps[8];  // kMaxEpiSteps
   int n = 0;
   const int32_t* bias32 = nullptr;
+  const int32_t* chan_shift = nullptr;
 
-  explicit EpiVec(const Epilogue& e) : n(e.n_steps), bias32(e.bias32) {
+  explicit EpiVec(const Epilogue& e)
+      : n(e.n_steps), bias32(e.bias32), chan_shift(e.chan_shift) {
     for (int s = 0; s < n; ++s) {
       const EpiStep& st = e.steps[s];
       Step& d = steps[s];
-      d.op = st.op;
+      d.op = st.op == 0 && st.per_channel ? kChanRequant : st.op;
       d.shift = st.shift;
-      switch (st.op) {
+      switch (d.op) {
         case 0:
           if (st.shift > 0) {
             d.halfm1 =
@@ -63,6 +72,7 @@ struct EpiVec {
           }
           [[fallthrough]];
         case 3:
+        case kChanRequant:
           d.lo = _mm256_set1_epi32(static_cast<int32_t>(st.lo));
           d.hi = _mm256_set1_epi32(static_cast<int32_t>(st.hi));
           break;
@@ -76,8 +86,8 @@ struct EpiVec {
     }
   }
 
-  /// `j0` is the channel of lane 0; bias lanes load from the plan's padded
-  /// int32 bias copy.
+  /// `j0` is the channel of lane 0; bias and per-channel shift lanes load
+  /// from the plan's padded int32 tables.
   __m256i apply(__m256i v, int64_t j0) const {
     for (int s = 0; s < n; ++s) {
       const Step& st = steps[s];
@@ -112,6 +122,23 @@ struct EpiVec {
           const __m256i a = _mm256_sll_epi32(v, st.cnt);
           const __m256i m = _mm256_mullo_epi32(v, st.alpha);
           v = _mm256_max_epi32(a, m);
+          break;
+        }
+        case kChanRequant: {  // case 0 with a shift per lane
+          const __m256i zero = _mm256_setzero_si256();
+          const __m256i one = _mm256_set1_epi32(1);
+          const __m256i s =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(chan_shift + j0));
+          const __m256i rs = _mm256_max_epi32(s, zero);
+          v = _mm256_sllv_epi32(v, _mm256_max_epi32(_mm256_sub_epi32(zero, s), zero));
+          // half - 1 = INT32_MAX >> (32 - rs): vpsrlvd zeroes a count of 32,
+          // so an rs = 0 lane gets 0. The floor-LSB only counts where rs > 0.
+          const __m256i halfm1 = _mm256_srlv_epi32(
+              _mm256_set1_epi32(0x7FFFFFFF), _mm256_sub_epi32(_mm256_set1_epi32(32), rs));
+          const __m256i qbit = _mm256_and_si256(_mm256_srav_epi32(v, rs),
+                                                _mm256_min_epi32(rs, one));
+          v = _mm256_srav_epi32(_mm256_add_epi32(_mm256_add_epi32(v, halfm1), qbit), rs);
+          v = _mm256_min_epi32(_mm256_max_epi32(v, st.lo), st.hi);
           break;
         }
       }

@@ -127,15 +127,18 @@ struct Epilogue {
   void* y = nullptr;
   int out_bytes = 4;  ///< 1 | 2 | 4 | 8
   /// True when the plan proved every intermediate step value fits int32
-  /// (and every shift stays under 31): SIMD kernels may then run the steps
-  /// in 32-bit lanes — bit-identical to epi_apply because the rounding
-  /// adjustment never widens past the value domain. When set and a bias
-  /// step exists, `bias32` points at an int32 copy of the bias with 8 lanes
-  /// of zero slack for unmasked vector loads.
+  /// (and every shift — each chan_shift entry included — stays under 31):
+  /// SIMD kernels may then run the steps in 32-bit lanes — bit-identical to
+  /// epi_apply because the rounding adjustment never widens past the value
+  /// domain. When set and a bias step exists, `bias32` points at an int32
+  /// copy of the bias with 8 lanes of zero slack for unmasked vector loads.
   bool vec32 = false;
   const int32_t* bias32 = nullptr;
   /// Per-output-channel requant shifts (plan-resolved, already net of the
   /// channel's exponent delta); non-null iff some step has `per_channel`.
+  /// Under `vec32` the table carries 8 lanes of zero slack past the last
+  /// channel, as `bias32` does, so a vector kernel may load the shifts of
+  /// a padded 8-lane column group unmasked.
   const int32_t* chan_shift = nullptr;
 };
 

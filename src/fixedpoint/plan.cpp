@@ -511,10 +511,11 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
       const auto fits32 = [&](int64_t lo, int64_t hi) {
         return lo >= kI32Lo && hi <= kI32Hi;
       };
-      // Per-channel epilogues always retire through the scalar epi_apply
-      // (which indexes chan_shift); the 32-bit vector path only knows one
-      // shift per step. An empty list has no step to index.
-      bool vec32 = c.acc_ok32 && (in.chan_data.empty() || c.epi.empty());
+      // A per-channel requant shifts each lane by its own table entry, so
+      // the proof covers the whole table: every entry under 31 bits, the
+      // left-shift headroom at the smallest (most negative) shift and the
+      // v + half rounding headroom at the largest.
+      bool vec32 = c.acc_ok32;
       Interval cur{sat_mul(acc_bound, -1), acc_bound};
       int64_t bmin = 0, bmax = 0;
       if (!in.bias_data.empty()) {
@@ -525,21 +526,28 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
       }
       for (const fpk::EpiStep& es : c.epi) {
         switch (static_cast<FpInstr::EpiOp>(es.op)) {
-          case FpInstr::EpiOp::kRequant:
-            vec32 = vec32 && es.shift > -31 && es.shift < 31;
-            if (es.shift < 0) {
-              vec32 = vec32 && fits32(sat_shl(cur.lo, -es.shift),
-                                      sat_shl(cur.hi, -es.shift));
-            } else if (es.shift > 0) {
+          case FpInstr::EpiOp::kRequant: {
+            int smin = es.shift, smax = es.shift;
+            if (es.per_channel) {
+              const auto [mn, mx] =
+                  std::minmax_element(c.chan_shifts.begin(), c.chan_shifts.end());
+              smin = *mn;
+              smax = *mx;
+            }
+            vec32 = vec32 && smin > -31 && smax < 31;
+            if (smin < 0) {
+              vec32 = vec32 && fits32(sat_shl(cur.lo, -smin), sat_shl(cur.hi, -smin));
+            }
+            if (smax > 0) {
               // The vector kernels round via v + (half - 1 + floor-LSB),
               // then one arithmetic shift — the sum needs v + half of
               // int32 headroom.
               vec32 = vec32 &&
-                      fits32(cur.lo, sat_add(cur.hi, int64_t{1}
-                                                         << (es.shift - 1)));
+                      fits32(cur.lo, sat_add(cur.hi, int64_t{1} << (smax - 1)));
             }
             cur = {es.lo, es.hi};
             break;
+          }
           case FpInstr::EpiOp::kBias:
             vec32 = vec32 && fits32(bmin, bmax);
             cur = {sat_add(cur.lo, bmin), sat_add(cur.hi, bmax)};
@@ -571,6 +579,11 @@ ExecPlan build_exec_plan(const std::vector<FpInstr>& instrs, int n_registers,
       if (vec32 && !in.bias_data.empty()) {
         c.bias32.assign(in.bias_data.begin(), in.bias_data.end());
         c.bias32.resize(in.bias_data.size() + 8, 0);  // vector-load slack
+      }
+      if (vec32 && !c.chan_shifts.empty()) {
+        // Vector-load slack for the padded GEMM tail group: its lanes past
+        // N retire zero accumulators, which a zero shift leaves at zero.
+        c.chan_shifts.resize(c.chan_shifts.size() + 8, 0);
       }
     }
   }

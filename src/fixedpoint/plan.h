@@ -74,9 +74,11 @@ struct ExecPlan {
     std::vector<uint8_t> b_nib4;
     /// Per-output-channel requant shifts, resolved against the static
     /// exponent replay. On a fused matmul: the first epilogue requant's
-    /// per-lane `to - from_c` (fpk::Epilogue::chan_shift). On a standalone
-    /// kRequant fed by a per-channel matmul: the same table for the
-    /// executor's per-channel requant path. Empty in the per-tensor case.
+    /// per-lane `to - from_c` (fpk::Epilogue::chan_shift), padded with 8
+    /// zero lanes for unmasked vector loads when `epi_vec32`. On a
+    /// standalone kRequant fed by a per-channel matmul: the same table,
+    /// never padded — the executor's per-channel requant path takes its
+    /// size as the channel count. Empty in the per-tensor case.
     std::vector<int32_t> chan_shifts;
   };
 

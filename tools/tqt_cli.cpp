@@ -418,17 +418,19 @@ PrecisionPolicy parse_precision(const ArgParser& p, QuantUse use) {
 }
 
 /// The `run --explain-kernels` table: one row per exec-stream instruction
-/// with the algo the executor resolved; measured selections are starred.
+/// with the algo the executor resolved (measured selections are starred) and
+/// the epilogue retire path of each matmul.
 void print_explain_table(const FixedPointProgram& prog) {
   const auto rows = autotune::explain_kernels(prog);
-  std::printf("%-4s %-30s %-20s %-12s %s\n", "#", "instruction", "kind", "algo",
-              "shape-class");
+  std::printf("%-4s %-30s %-20s %-12s %-7s %s\n", "#", "instruction", "kind", "algo",
+              "retire", "shape-class");
   int i = 0;
   for (const auto& r : rows) {
-    std::printf("%-4d %-30s %-20s %-11s%s %s\n", i++, r.name.c_str(), r.kind.c_str(),
-                r.algo.c_str(), r.tuned ? "*" : " ", r.shape.c_str());
+    std::printf("%-4d %-30s %-20s %-11s%s %-7s %s\n", i++, r.name.c_str(), r.kind.c_str(),
+                r.algo.c_str(), r.tuned ? "*" : " ", r.retire.c_str(), r.shape.c_str());
   }
-  std::printf("(* = measured autotuner selection)\n");
+  std::printf("(* = measured autotuner selection; kernel set %s)\n",
+              fpk::active_kernels().name);
 }
 
 int cmd_list(int argc, char** argv) {

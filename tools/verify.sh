@@ -107,20 +107,25 @@ done
 # above exercises the AVX2 set wherever the host has it: re-run the typed,
 # fused, tuned and int4 engine tests with the scalar set forced, at both
 # pool sizes, so every matmul family member runs through the portable body.
+# The PerChannelVec32 kernel tests call both sets explicitly, so this pass
+# also runs them with the pool split across 4 threads.
 for threads in 1 4; do
   echo "==== engine tests with TQT_KERNELS=scalar TQT_NUM_THREADS=$threads ===="
   TQT_KERNELS=scalar TQT_NUM_THREADS=$threads ctest --test-dir "$BUILD_DIR" \
-    -R 'TypedEngine|FusedEngine|Tune|S4Engine' --output-on-failure -j "$(nproc)"
+    -R 'TypedEngine|FusedEngine|Tune|S4Engine|PerChannelVec32' --output-on-failure \
+    -j "$(nproc)"
 done
 
 # Fail fast on the INT4 sub-byte path: nibble pack/unpack parities, the
 # forced Algo::kGemmS4 candidates' bit-exactness over the zoo (per-tensor and
-# per-channel), serializer v3, the QuantUse bit-width boundaries, and the
-# deprecated pre-QuantSpec wrappers, at both pool sizes.
+# per-channel), the per-channel requant's vector epilogue (kernels vs
+# epi_apply, the plan's whole-table proof), serializer v3, the QuantUse
+# bit-width boundaries, and the deprecated pre-QuantSpec wrappers, at both
+# pool sizes.
 for threads in 1 4; do
   echo "==== int4 tests with TQT_NUM_THREADS=$threads ===="
   TQT_NUM_THREADS=$threads ctest --test-dir "$BUILD_DIR" \
-    -R 'Nib4|S4Engine|SerializeV3|QuantUseBoundaries|DeprecatedWrappers' \
+    -R 'Nib4|S4Engine|PerChannelVec32|SerializeV3|QuantUseBoundaries|DeprecatedWrappers' \
     --output-on-failure -j "$(nproc)"
 done
 
@@ -194,6 +199,14 @@ if no_s4:
     sys.exit(f"no instruction routed through the s4 GEMM on: {no_s4}")
 print(f"int4 gate ok: s4-vs-s8 geomean {report['s4_vs_s8_geomean']:.3f}, "
       f"bit-exact on {report['models_s4_bit_exact']}/{len(report['models'])} models")
+
+# The per-channel INT4 arm (default dispatch) carries its own bit-exactness
+# flag; its W4pc-vs-W8 ratio is reported, not gated.
+if report["models_w4pc_bit_exact"] != len(report["models"]):
+    sys.exit(f"int4 per-channel program not bit-exact: {report['models_w4pc_bit_exact']}"
+             f"/{len(report['models'])}")
+print(f"int4 per-channel gate ok: w4pc-vs-w8 geomean {report['w4pc_vs_w8_geomean']:.3f}, "
+      f"bit-exact on {report['models_w4pc_bit_exact']}/{len(report['models'])} models")
 PY
 
 # Observability overhead contract (DESIGN.md §10): with tracing disabled the
@@ -234,13 +247,24 @@ if [[ -z "${TQT_SANITIZE:-}" ]]; then
   # (compile + save in one step), run the artifact, then force-tune it — the
   # tuner must measure the s4 candidates without complaint and the sidecar
   # must appear. Also: the precision flags must reject out-of-range widths.
+  # The run's explain table must show every fused matmul retiring through
+  # the vector epilogue when the AVX2 set is active: a per-channel shift
+  # table that silently falls back to the scalar walk fails here.
   echo "==== tqt_cli quantize --wbits 4 -> run -> tune round trip ===="
   "$BUILD_DIR/tools/tqt_cli" quantize mini_vgg --mode static --wbits 4 --per-channel \
     -o "$BUILD_DIR/verify_w4.tqtp" > "$BUILD_DIR/verify_w4_out.txt"
   grep -q 'W4A8 per-channel' "$BUILD_DIR/verify_w4_out.txt"
   grep -q 'wrote .* instructions' "$BUILD_DIR/verify_w4_out.txt"
   "$BUILD_DIR/tools/tqt_cli" run mini_vgg -i "$BUILD_DIR/verify_w4.tqtp" --wbits 4 \
-    | grep -q 'top-1'
+    --explain-kernels > "$BUILD_DIR/verify_w4_run.txt"
+  grep -q 'top-1' "$BUILD_DIR/verify_w4_run.txt"
+  if grep -q 'kernel set avx2' "$BUILD_DIR/verify_w4_run.txt"; then
+    if awk '$3 ~ /_fused$/ && $0 !~ / vec32 / { bad = 1; print "scalar retire: " $0 }
+            END { exit !bad }' "$BUILD_DIR/verify_w4_run.txt"; then
+      echo "FAIL: a W4A8 per-channel fused matmul retires through the scalar walk"; exit 1
+    fi
+    grep -q 'conv2d_fused .* vec32' "$BUILD_DIR/verify_w4_run.txt"
+  fi
   rm -f "$BUILD_DIR/verify_w4.tqtp.tqt.tune"
   "$BUILD_DIR/tools/tqt_cli" tune mini_vgg -i "$BUILD_DIR/verify_w4.tqtp" \
     > "$BUILD_DIR/verify_w4_tune.txt"
